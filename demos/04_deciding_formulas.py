@@ -2,9 +2,9 @@
 Validity, satisfiability, and consequence
 =========================================
 
-A rank-n formula is valid exactly when it is top everywhere on stage n, so
-all three decision problems reduce to a finite sweep, and every negative
-answer carries a finite countermodel.
+A rank-n formula is valid exactly when it is top everywhere on stage n. The
+deciders read the answer off the finite set of subformula value vectors that
+stage n realizes, and every negative answer carries a finite countermodel.
 """
 from mvmodal import Session, consequence, satisfiable, validity
 

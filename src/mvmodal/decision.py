@@ -1,20 +1,37 @@
-"""Validity, satisfiability, and finite consequence by stage exhaustion.
+"""Validity, satisfiability, and finite consequence on stage rank(phi).
 
-Rank-n formulas are decided on stage n of the terminal sequence: validity and
-consequence sweep the whole carrier, and satisfiability additionally realizes
-its witness inside the canonical model living on that carrier, so every "yes"
-comes with a concrete finite model.
+A rank-n formula observes stage n only through the values of its own
+subformulas, so the deciders compute the *realized types* of stage n (the
+value vectors its elements give the formulas) level by level instead of
+sweeping the stage. Level 0 types are read off the valuations. At level k,
+propositions depend only on the valuation and modal nodes only on the
+T-component; by naturality of the liftings, and because T preserves the
+surjection from stage k-1 onto its realized types, the modal value vectors
+over T(stage k-1) are exactly those over T(types at level k-1). Every count
+is exact, and the enumeration of T(types) stops as soon as every possible
+modal vector has appeared.
+
+The answer comes from the top-level types alone, so affirmative validity and
+consequence, and negative satisfiability, never touch stage n and are
+decided even when stage n is over budget. A negative validity or
+consequence, or a positive satisfiability, needs a witness: the first
+element of stage n in id order that realizes the deciding type, found by
+sweeping the stage, so an over-budget stage with such an answer is still
+refused. A satisfiability witness is re-checked through the model evaluator
+on the part of the canonical stage-n model it generates, so every "yes" comes
+with a concrete finite model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import product
+from typing import Callable, Sequence
 
 from .functors import push_delta
-from .report import InputError
-from .semantics import StageTower, StepEvaluator, TModel, eval_model
+from .report import BudgetError, InputError
+from .semantics import _BIN_TABLE, StageTower, StepEvaluator, TModel, eval_model
 from .session import Session
-from .syntax import Formula, rank, subformulas
+from .syntax import Bin, Const, Formula, Modal, Prop, rank, subformulas
 
 __all__ = ["Verdict", "validity", "consequence", "satisfiable", "lemma2_model"]
 
@@ -39,21 +56,6 @@ class Verdict:
         }
 
 
-def _witness(session: Session, tower: StageTower, ev: StepEvaluator, n: int, t: int,
-             formulas: Sequence[Formula]) -> dict:
-    elem = tower.decode_full(n, t)
-    values: dict[str, str] = {}
-    for f in formulas:
-        for sub in subformulas(f):
-            values[session.pretty(sub)] = session.lat.label(ev.value(sub, n, elem))
-    return {
-        "stage": n,
-        "element": t,
-        "description": tower.describe(n, t),
-        "values": dict(sorted(values.items())),
-    }
-
-
 def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
     need = max((rank(f) for f in formulas), default=0)
     if n is None:
@@ -63,18 +65,136 @@ def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
     return n
 
 
+# -- realized types ----------------------------------------------------------------
+
+
+def _local_nodes(roots: Sequence[Formula]) -> list[Formula]:
+    """Subformulas reached from roots without crossing a modality, children first."""
+    seen: dict[Formula, None] = {}
+
+    def walk(f: Formula) -> None:
+        if f in seen:
+            return
+        if isinstance(f, Bin):
+            walk(f.left)
+            walk(f.right)
+        seen[f] = None
+
+    for f in roots:
+        walk(f)
+    return list(seen)
+
+
+def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
+                   types: list[tuple], k: int) -> list[tuple]:
+    """Distinct value vectors of the level-k modal nodes over T(types at level k-1)."""
+    F = session.functor
+    m = len(types)
+    size = F.fits(m, session.budget)
+    if size is None:
+        raise BudgetError(f"T(realized types at level {k - 1})", F.size_text(m), session.budget)
+    column = {f: tuple(t[i] for t in types).__getitem__ for i, f in enumerate(below)}
+    reads = [(session.registry.get(M.name), [column[a] for a in M.args]) for M in modals]
+    every = session.lat.size ** len(modals)
+    out: set[tuple] = set()
+    for x in range(size):
+        d = F.decode(m, x)
+        out.add(tuple(lf.value_at(d, args) for lf, args in reads))
+        if len(out) == every:
+            break
+    return sorted(out)
+
+
+def _realized_types(session: Session, formulas: Sequence[Formula], n: int) -> set[tuple]:
+    """The value vectors of `formulas` over the elements of stage n, exactly.
+
+    Level n evaluates the formulas; level k-1 evaluates the arguments of the
+    modal nodes that level k reaches without crossing a modality.
+    """
+    lat = session.lat
+    levels = []  # top down: (roots, local nodes, modal nodes)
+    roots = list(dict.fromkeys(formulas))
+    while True:
+        nodes = _local_nodes(roots)
+        modals = [f for f in nodes if isinstance(f, Modal)]
+        levels.append((roots, nodes, modals))
+        if not modals:
+            break
+        roots = list(dict.fromkeys(a for M in modals for a in M.args))
+    bottom = n - len(levels) + 1  # >= 0, since n >= rank
+    tables = {op: getattr(lat, name).tolist() for op, name in _BIN_TABLE.items()}
+
+    types: list[tuple] = []
+    below: list[Formula] = []
+    for k, (roots, nodes, modals) in enumerate(reversed(levels), start=bottom):
+        props = sorted({f.name for f in nodes if isinstance(f, Prop)})
+        # valuations range over all of Hom(P, A), so every prop vector occurs
+        prop_vecs = list(product(range(lat.size), repeat=len(props)))
+        modal_vecs = _modal_vectors(session, modals, below, types, k) if modals else [()]
+        if len(prop_vecs) * len(modal_vecs) > session.budget:
+            raise BudgetError(f"realized types at level {k}",
+                              f"{len(prop_vecs)}*{len(modal_vecs)}", session.budget)
+        pairs = [(pv, mv) for pv in prop_vecs for mv in modal_vecs]
+        col: dict[Formula, tuple[int, ...]] = {}
+        for f in nodes:
+            if isinstance(f, Const):
+                col[f] = (f.value,) * len(pairs)
+            elif isinstance(f, Prop):
+                i = props.index(f.name)
+                col[f] = tuple(pv[i] for pv, _ in pairs)
+            elif isinstance(f, Modal):
+                i = modals.index(f)
+                col[f] = tuple(mv[i] for _, mv in pairs)
+            else:
+                table = tables[f.op]
+                col[f] = tuple(table[a][b] for a, b in zip(col[f.left], col[f.right]))
+        types = sorted(set(zip(*(col[f] for f in roots))))
+        below = roots
+    index = {f: i for i, f in enumerate(below)}
+    return {tuple(t[index[f]] for f in formulas) for t in types}
+
+
+# -- witnesses -----------------------------------------------------------------------
+
+
+def _witness(session: Session, tower: StageTower, n: int, formulas: Sequence[Formula],
+             holds: Callable[[Callable[[Formula], int]], bool]) -> dict | None:
+    """The first element of stage n, in id order, on which holds(value) is
+    true, decoded with the values of every subformula of formulas.
+
+    None when no realized type satisfies holds; stage n is then never built.
+    """
+    types = _realized_types(session, formulas, n)
+    if not any(holds(dict(zip(formulas, v)).__getitem__) for v in types):
+        return None
+    ev = StepEvaluator(session)
+    for t in range(tower.size(n)):
+        elem = tower.decode_full(n, t)
+        if holds(lambda f: ev.value(f, n, elem)):
+            values: dict[str, str] = {}
+            for f in formulas:
+                for sub in subformulas(f):
+                    values[session.pretty(sub)] = session.lat.label(ev.value(sub, n, elem))
+            return {
+                "stage": n,
+                "element": t,
+                "description": tower.describe(n, t),
+                "values": dict(sorted(values.items())),
+            }
+    raise RuntimeError(
+        f"internal coherence failure: a realized type at stage {n} has no stage element"
+    )
+
+
 def validity(session: Session, phi: Formula, n: int | None = None,
              tower: StageTower | None = None) -> Verdict:
     """Top everywhere on stage rank(phi)."""
     session.validate_formula(phi)
     n = _resolve_stage([phi], n)
-    tower = tower or StageTower(session)
-    ev = StepEvaluator(session)
     top = session.lat.top
-    for t in range(tower.size(n)):
-        if ev.value(phi, n, tower.decode_full(n, t)) != top:
-            return Verdict(False, "valid", n, _witness(session, tower, ev, n, t, [phi]))
-    return Verdict(True, "valid", n)
+    witness = _witness(session, tower or StageTower(session), n, [phi],
+                       lambda val: val(phi) != top)
+    return Verdict(witness is None, "valid", n, witness)
 
 
 def consequence(session: Session, premises: Sequence[Formula], phi: Formula,
@@ -84,15 +204,20 @@ def consequence(session: Session, premises: Sequence[Formula], phi: Formula,
     for f in (*premises, phi):
         session.validate_formula(f)
     n = _resolve_stage([*premises, phi], n)
-    tower = tower or StageTower(session)
-    ev = StepEvaluator(session)
     top = session.lat.top
-    for t in range(tower.size(n)):
-        elem = tower.decode_full(n, t)
-        if all(ev.value(g, n, elem) == top for g in premises) and ev.value(phi, n, elem) != top:
-            return Verdict(False, "consequence", n,
-                           _witness(session, tower, ev, n, t, [*premises, phi]))
-    return Verdict(True, "consequence", n)
+    witness = _witness(session, tower or StageTower(session), n, [*premises, phi],
+                       lambda val: all(val(g) == top for g in premises) and val(phi) != top)
+    return Verdict(witness is None, "consequence", n, witness)
+
+
+def _canonical_sigma(session: Session, tower: StageTower, n: int) -> Callable[[int], object]:
+    """Transition of state t of the canonical stage-n model: the section into
+    stage n+1 with leaves renamed to stage-n ids."""
+    if n == 0:
+        form0 = session.functor.decode(tower.size(0), tower.iota0_id())
+        return lambda t: form0
+    up = tower.iota_table(n - 1)
+    return lambda t: push_delta(session.lat, tower.decode1(n, t)[1], up.__getitem__)
 
 
 def lemma2_model(session: Session, n: int, tower: StageTower | None = None) -> TModel:
@@ -105,16 +230,28 @@ def lemma2_model(session: Session, n: int, tower: StageTower | None = None) -> T
     tower = tower or StageTower(session)
     size = tower.size(n)
     valuation = tuple(session.valuations.decode(tower.decode1(n, t)[0]) for t in range(size))
-    if n == 0:
-        form0 = session.functor.decode(size, tower.iota0_id())
-        sigma = tuple(form0 for _ in range(size))
-    else:
-        up = tower.iota_table(n - 1)
-        sigma = tuple(
-            push_delta(session.lat, tower.decode1(n, t)[1], up.__getitem__)
-            for t in range(size)
-        )
-    return TModel(valuation, sigma)
+    sigma = _canonical_sigma(session, tower, n)
+    return TModel(valuation, tuple(sigma(t) for t in range(size)))
+
+
+def _generated_model(session: Session, tower: StageTower, n: int, root: int) -> TModel:
+    """The sub-coalgebra of lemma2_model(n) generated by state root, renumbered
+    in discovery order with root as state 0."""
+    sigma_of = _canonical_sigma(session, tower, n)
+    ids = {root: 0}
+    order = [root]
+
+    def rename(t: int) -> int:
+        if t not in ids:
+            ids[t] = len(order)
+            order.append(t)
+        return ids[t]
+
+    sigma = []
+    for t in order:  # grows while it is walked
+        sigma.append(push_delta(session.lat, sigma_of(t), rename))
+    valuation = tuple(session.valuations.decode(tower.decode1(n, t)[0]) for t in order)
+    return TModel(valuation, tuple(sigma))
 
 
 def satisfiable(session: Session, phi: Formula, n: int | None = None,
@@ -122,20 +259,17 @@ def satisfiable(session: Session, phi: Formula, n: int | None = None,
     """Some element of stage rank(phi) gives top; the witness is a state of the
     canonical model, cross-checked through the model evaluator."""
     session.validate_formula(phi)
-    if not session.functor.finite:
-        raise InputError(f"functor {session.functor.name!r} is not finite; no finite-model decision")
     n = _resolve_stage([phi], n)
-    tower = tower or StageTower(session)
-    ev = StepEvaluator(session)
     top = session.lat.top
-    for t in range(tower.size(n)):
-        if ev.value(phi, n, tower.decode_full(n, t)) == top:
-            model = lemma2_model(session, n, tower)
-            model_val = eval_model(session, model, phi)[t]
-            if model_val != top:
-                raise RuntimeError(
-                    f"internal coherence failure: stage witness {t} evaluates to "
-                    f"{session.lat.label(model_val)} on the canonical model"
-                )
-            return Verdict(True, "satisfiable", n, _witness(session, tower, ev, n, t, [phi]))
-    return Verdict(False, "satisfiable", n)
+    tower = tower or StageTower(session)
+    witness = _witness(session, tower, n, [phi], lambda val: val(phi) == top)
+    if witness is None:
+        return Verdict(False, "satisfiable", n)
+    t = witness["element"]
+    model_val = eval_model(session, _generated_model(session, tower, n, t), phi)[0]
+    if model_val != top:
+        raise RuntimeError(
+            f"internal coherence failure: stage witness {t} evaluates to "
+            f"{session.lat.label(model_val)} on the canonical model"
+        )
+    return Verdict(True, "satisfiable", n, witness)

@@ -179,7 +179,6 @@ class Functor:
     """Object action on canonical finite carriers plus decoded-form codecs."""
 
     name: str = "?"
-    finite = True
 
     def __init__(self, lat: ResiduatedLattice):
         self.lat = lat
@@ -197,7 +196,10 @@ class Functor:
 
     def fits(self, n: int, cap: int) -> int | None:
         """|T(n)| when it is <= cap, else None; never builds huge powers."""
-        if self.log2_size(n) > cap.bit_length() + 1:
+        try:
+            if self.log2_size(n) > cap.bit_length() + 1:
+                return None
+        except OverflowError:  # the logarithm itself is beyond float range
             return None
         v = self.size(n)
         return v if v <= cap else None

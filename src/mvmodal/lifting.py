@@ -218,6 +218,8 @@ def check_naturality(lifting: PredicateLifting, bound: int = 2, budget: int = 10
 
     Size pairs whose T-carrier exceeds the budget are reported as skipped.
     """
+    if bound < 0:
+        raise InputError(f"naturality bound must be >= 0, got {bound}")
     lat, F = lifting.lat, lifting.functor
     report = ValidationReport(subject=f"naturality: {lifting.name} over {F.name}/{lat.name}")
     for a in range(bound + 1):
@@ -261,6 +263,10 @@ def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: i
     lat, F = lifting.lat, lifting.functor
     g_low = 0 if include_empty_g else 1
     g_high = family_bound if g_family_bound is None else g_family_bound
+    for what, value in (("set bound", set_bound), ("family bound", family_bound),
+                        ("G family bound", g_high)):
+        if value < 0:
+            raise InputError(f"{what} must be >= 0, got {value}")
     report = ValidationReport(
         subject=f"alpha-preservation: {lifting.name} over {F.name}/{lat.name} at alpha={lat.label(alpha)}")
 

@@ -4,6 +4,9 @@ Binding strength, tightest first:  &  then  /\\  then  |  then  ->  (right
 associative).  a <-> b is sugar for (a -> b) /\\ (b -> a) and does not chain.
 Constants are numerals ("0.5", "1/3") or canonical c{index}; bare identifiers
 are declared propositions; identifiers applied to arguments are modalities.
+Parentheses, modal applications and connectives nest at most MAX_NESTING
+deep, so no input can exhaust the recursion of the parser or of the
+structural functions downstream.
 """
 from __future__ import annotations
 
@@ -15,7 +18,9 @@ from .algebra import ResiduatedLattice
 from .report import InputError
 from .syntax import Bin, Const, Formula, Modal, Prop
 
-__all__ = ["ParseError", "parse_formula", "tokenize"]
+__all__ = ["MAX_NESTING", "ParseError", "parse_formula", "tokenize"]
+
+MAX_NESTING = 100
 
 _CINDEX = re.compile(r"^c(\d+)$")
 _IDENT_START = re.compile(r"[A-Za-z_]")
@@ -90,6 +95,7 @@ class _Parser:
         self.lattice = lattice
         self.props = set(propositions)
         self.modalities = dict(modalities)
+        self.depth = 0  # groups, modal applications and -> operands open here
 
     def _peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -116,13 +122,26 @@ class _Parser:
         phi = self.implication()
         if self._peek() is not None:
             raise ParseError("trailing input", self.text, self._peek().pos)
+        if _height(phi) > MAX_NESTING:
+            raise ParseError(f"connectives and modalities nest deeper than {MAX_NESTING}",
+                             self.text, 0)
         return phi
+
+    def _nested(self, parse, pos: int) -> Formula:
+        """parse() one level deeper, refusing to go beyond MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING}", self.text, pos)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def implication(self) -> Formula:
         left = self.disjunct()
         if self._at("->"):
-            self._next()
-            return Bin("imp", left, self.implication())
+            tok = self._next()
+            return Bin("imp", left, self._nested(self.implication, tok.pos))
         if self._at("<->"):
             self._next()
             right = self.disjunct()
@@ -153,7 +172,7 @@ class _Parser:
     def atom(self) -> Formula:
         tok = self._next()
         if tok.kind == "(":
-            phi = self.implication()
+            phi = self._nested(self.implication, tok.pos)
             self._expect(")")
             return phi
         if tok.kind == "numeral":
@@ -167,11 +186,7 @@ class _Parser:
                 if tok.text not in self.modalities:
                     raise ParseError(f"unknown modality {tok.text!r}", self.text, tok.pos)
                 self._next()
-                args = [self.implication()]
-                while self._at(","):
-                    self._next()
-                    args.append(self.implication())
-                self._expect(")")
+                args = self._nested(self._arguments, tok.pos)
                 arity = self.modalities[tok.text]
                 if len(args) != arity:
                     raise ParseError(f"modality {tok.text!r} takes {arity} argument(s), got {len(args)}",
@@ -188,6 +203,27 @@ class _Parser:
                 return Prop(tok.text)
             raise ParseError(f"undeclared proposition {tok.text!r}", self.text, tok.pos)
         raise ParseError(f"unexpected token {tok.text!r}", self.text, tok.pos)
+
+    def _arguments(self) -> list[Formula]:
+        args = [self.implication()]
+        while self._at(","):
+            self._next()
+            args.append(self.implication())
+        self._expect(")")
+        return args
+
+
+def _height(phi: Formula) -> int:
+    """Longest chain of connectives and modalities, walked without recursion."""
+    best, stack = 0, [(phi, 0)]
+    while stack:
+        f, h = stack.pop()
+        best = max(best, h)
+        if isinstance(f, Bin):
+            stack += [(f.left, h + 1), (f.right, h + 1)]
+        elif isinstance(f, Modal):
+            stack += [(a, h + 1) for a in f.args]
+    return best
 
 
 def parse_formula(text: str, lattice: ResiduatedLattice,

@@ -201,6 +201,8 @@ def check_derivation(session: Session, tree: DerivationNode,
     """Replay a derivation tree; with n given, enforce the stratum discipline
     (stratum 0 admits only base-oracle nodes, substitutions at stratum n are
     (n-1)-substitutions, lifting steps descend one stratum)."""
+    if n is not None and n < 0:
+        raise InputError(f"derivation stratum must be >= 0, got {n}")
     report = ValidationReport(subject="derivation" if n is None else f"derivation at stratum {n}")
 
     def visit(node: DerivationNode, path: str, stratum: int | None) -> None:

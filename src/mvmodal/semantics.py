@@ -233,6 +233,8 @@ class StageTower:
     # sizes -----------------------------------------------------------------
 
     def size(self, k: int) -> int:
+        if k < 0:
+            raise InputError(f"stage index {k} is negative")
         while len(self._sizes) <= k:
             m = len(self._sizes) - 1
             t = self.s.functor.fits(self._sizes[m], self.s.budget)

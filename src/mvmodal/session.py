@@ -107,13 +107,17 @@ class Session:
             threshold = Fraction(str(data.get("threshold", "1/2")))
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad threshold {data.get('threshold')!r}") from None
+        for key in ("budget", "iota0"):
+            value = data.get(key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise InputError(f"{key} must be an integer, got {value!r}")
         return cls(
             lat=lat,
             functor=functor,
             propositions=tuple(data.get("propositions", ())),
-            budget=int(data.get("budget", DEFAULT_BUDGET)),
+            budget=DEFAULT_BUDGET if data.get("budget") is None else data["budget"],
             threshold=threshold,
-            iota0=None if data.get("iota0") is None else int(data["iota0"]),
+            iota0=data.get("iota0"),
             cache_dir=Path(data["cache_dir"]) if data.get("cache_dir") else None,
         )
 

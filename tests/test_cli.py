@@ -222,3 +222,53 @@ def test_config_file_switches_algebra(capsys, tmp_path):
     assert "0.5" in out
     code, out, _ = invoke(capsys, "--config", cfg, "valid", "(p & p) | ((p & p) -> c0)")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["stage", "-1"],
+    ["check", "lemma1", "-1"],
+    ["check", "naturality", "box", "--bound", "-1"],
+    ["check", "preservation", "box", "--alpha", "1", "--bound", "-1"],
+    ["check", "preservation", "box", "--alpha", "1", "--family-bound", "-1"],
+])
+def test_negative_sizes_are_input_errors(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ERROR InputError")
+
+
+def test_negative_derivation_stratum_is_input_error(capsys, tmp_path):
+    tree = write_json(tmp_path, "ok.json", TREE_OK)
+    code, _, err = invoke(capsys, "check", "derivation", tree, "--n", "-1")
+    assert code == 2
+    assert err.startswith("ERROR InputError")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("budget", "x"), ("budget", 1.5), ("budget", True), ("iota0", "x"), ("iota0", 0.5),
+])
+def test_non_integer_config_values_are_input_errors(capsys, tmp_path, key, value):
+    cfg = write_json(tmp_path, "cfg.json", {"propositions": ["p"], key: value})
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", "valid", "p -> p")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"]["kind"] == "InputError"
+    assert key in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("depth,code", [(100, 0), (101, 2)])
+def test_nesting_depth_guard(capsys, depth, code):
+    for text in ["box(" * depth + "c1" + ")" * depth, "(" * depth + "c1" + ")" * depth]:
+        got, out, err = invoke(capsys, "valid", text)
+        assert got == code
+        if code == 0:
+            assert out.startswith("VALID")
+        else:
+            assert err.startswith("ERROR ParseError") and "deeper than 100" in err
+
+
+def test_deep_connective_chain_is_input_error(capsys):
+    code, _, err = invoke(capsys, "valid", " | ".join(["p"] * 3000))
+    assert code == 2
+    assert err.startswith("ERROR ParseError")

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from mvmodal import (BudgetError, InputError, consequence, eval_model,
-                     lemma2_model, model_to_dict, satisfiable, validity)
-from conftest import make_session
+from mvmodal import (BudgetError, Const, InputError, StageTower, consequence,
+                     eval_model, eval_step, lemma2_model, model_to_dict, rank,
+                     satisfiable, step_consequence, validity)
+from mvmodal.decision import _generated_model, _realized_types
+from conftest import make_session, random_formula
 from modelsearch import (oracle_finds_satisfying, oracle_refutes_validity,
                          rank1_pool)
 
@@ -143,3 +146,73 @@ def test_verdict_to_dict_shape(boolean_ps):
     d = v.to_dict()
     assert set(d) == {"answer", "mode", "stage", "witness", "budget_note"}
     assert d["mode"] == "valid" and d["witness"]["element"] >= 0
+
+
+FUNCTORS = ("powerset", "fuzzyhom", "neighborhood", "selection", "distribution:2")
+
+
+@pytest.mark.parametrize("functor", FUNCTORS)
+@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
+def test_realized_types_agree_with_full_stage_sweep(algebra, functor):
+    s = make_session(algebra=algebra, functor=functor, propositions=("p",))
+    rng = random.Random(f"realized:{algebra}:{functor}")
+    tower = StageTower(s)
+    bot = Const(s.lat.bot)
+    disagreements, compared = [], 0
+    for _ in range(60):
+        phi, psi = random_formula(s, rng, max_rank=2), random_formula(s, rng, max_rank=2)
+        n = max(rank(phi), rank(psi))
+        try:
+            tower.size(n)
+        except BudgetError:
+            continue
+        compared += 1
+        swept = set(zip(eval_step(s, phi, n, tower).values, eval_step(s, psi, n, tower).values))
+        if _realized_types(s, [phi, psi], n) != swept:
+            disagreements.append((s.pretty(phi), s.pretty(psi)))
+        for verdict, (holds, first) in (
+                (validity(s, psi, n), step_consequence(s, [], psi, n, tower)),
+                (consequence(s, [phi], psi, n), step_consequence(s, [phi], psi, n, tower)),
+                (satisfiable(s, phi, n), step_consequence(s, [phi], bot, n, tower))):
+            # the witness is the first refuting id, for sat the first one making phi top
+            want = not holds if verdict.mode == "satisfiable" else holds
+            element = verdict.witness and verdict.witness["element"]
+            if verdict.answer != want or element != first:
+                disagreements.append((verdict.mode, s.pretty(phi), s.pretty(psi)))
+    assert compared >= 5
+    assert disagreements == []
+
+
+BOX_BOX_P = "box(box(p))"
+
+
+@pytest.mark.parametrize("algebra,functor,props", [
+    ("lukasiewicz:3", "powerset", ("p",)),
+    ("boolean", "neighborhood", ("p",)),
+    ("boolean", "powerset", ("p", "q")),
+])
+def test_lattice_laws_decided_over_budget_stage(algebra, functor, props):
+    s = make_session(algebra=algebra, functor=functor, propositions=props)
+    with pytest.raises(BudgetError):
+        StageTower(s).size(2)
+    v = validity(s, s.parse(f"{BOX_BOX_P} /\\ p -> {BOX_BOX_P}"))
+    assert v.answer and v.stage == 2 and v.witness is None
+    v = satisfiable(s, s.parse(f"{BOX_BOX_P} & ({BOX_BOX_P} -> c0)"))
+    assert not v.answer and v.stage == 2 and v.witness is None
+    v = consequence(s, [s.parse(BOX_BOX_P), s.parse(f"{BOX_BOX_P} -> box(p)")],
+                    s.parse("box(p)"))
+    assert v.answer and v.stage == 2 and v.witness is None
+
+
+@pytest.mark.parametrize("functor", FUNCTORS)
+def test_generated_model_keeps_the_root_value(functor):
+    s = make_session(functor=functor, propositions=("p",))
+    full = lemma2_model(s, 1)
+    tower = StageTower(s)
+    formulas = [s.parse(text) for text in ["p", "p -> p"] + [
+        f"{name}({', '.join(['p'] * arity)})" for name, arity in s.registry.arities().items()]]
+    full_values = [eval_model(s, full, phi).values for phi in formulas]
+    for t in range(0, full.n_states, max(1, full.n_states // 16)):
+        sub = _generated_model(s, tower, 1, t)
+        assert sub.n_states <= full.n_states
+        assert [eval_model(s, sub, phi)[0] for phi in formulas] == [v[t] for v in full_values], t
