@@ -18,11 +18,10 @@ from .proofkit import (Consecution, DerivationNode, ModalAxiomSet,
                        load_axiom_set, load_derivation,
                        one_step_soundness_report)
 from .report import BudgetError, InputError, ValidationReport, Violation
-from .semantics import (Stage, StageTower, StepEvaluator, TModel,
-                        check_lemma1, check_stage_coherence, check_truth_lemma,
-                        eval_model, eval_step, load_model, model_consequence,
-                        model_to_dict, sigma_k, sigma_states, step_consequence,
-                        terminal_stage)
+from .semantics import (StageTower, StepEvaluator, TModel, check_lemma1,
+                        check_stage_coherence, check_truth_lemma, eval_model,
+                        eval_step, load_model, model_consequence, model_to_dict,
+                        sigma_k, sigma_states, step_consequence)
 from .session import Session, algebra_from_spec
 from .syntax import (Bin, Const, Formula, Modal, Prop, pretty, propositions_of,
                      rank, subformulas, substitute, substitution_rank)
@@ -34,7 +33,7 @@ __all__ = [
     "Distribution", "FiniteMap", "FiniteSet", "Formula", "Functor", "FuzzyHom",
     "FuzzySubset", "InputError", "LiftingRegistry", "Modal", "ModalAxiomSet",
     "Neighborhood", "ParseError", "Powerset", "PredicateLifting", "Prop",
-    "ResiduatedLattice", "Selection", "Session", "Stage", "StageTower",
+    "ResiduatedLattice", "Selection", "Session", "StageTower",
     "StepEvaluator", "TModel", "ValidationReport", "ValuationSet", "Verdict",
     "Violation", "algebra_from_spec", "alpha_cut", "apply_lifting",
     "builtin_lattice", "check_alpha_preservation", "check_derivation",
@@ -47,5 +46,5 @@ __all__ = [
     "propositions_of", "push_delta", "rank", "satisfiable", "sigma_k",
     "sigma_states", "standard_liftings", "step_consequence", "subformulas",
     "substitute", "substitution_rank", "t_morphism", "t_object",
-    "terminal_stage", "tokenize", "validate_lattice", "validity",
+    "tokenize", "validate_lattice", "validity",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 affirmative/pass, 1 negative or failed check (with witness),
-2 configuration, input, or budget errors. With --json all results go to
-stdout as sorted-key JSON, so identical configs give byte-identical output.
+2 configuration, input, or budget errors, 3 any other (internal) error. With
+--json all results, errors included, go to stdout as sorted-key JSON, so
+identical configs give byte-identical output.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .algebra import load_algebra, validate_lattice
@@ -199,19 +201,25 @@ def run(args) -> int:
     raise InputError(f"unhandled verb {args.verb!r}")  # pragma: no cover
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
         code = run(args)
-    except (InputError, BudgetError, OSError, json.JSONDecodeError) as exc:
+    except Exception as exc:
+        expected = isinstance(exc, (InputError, BudgetError, OSError, json.JSONDecodeError))
+        if not expected:  # a fault of the program, not of its input
+            traceback.print_exc()
         kind = type(exc).__name__
         if args.json:
             print(json.dumps({"error": {"kind": kind, "message": str(exc)}},
                              sort_keys=True, indent=2))
         else:
             print(f"ERROR {kind}: {exc}", file=sys.stderr)
-        code = 2
+        code = 2 if expected else 3
     if args.timing:
         print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -7,9 +7,11 @@ sweeping the stage. Level 0 types are read off the valuations. At level k,
 propositions depend only on the valuation and modal nodes only on the
 T-component; by naturality of the liftings, and because T preserves the
 surjection from stage k-1 onto its realized types, the modal value vectors
-over T(stage k-1) are exactly those over T(types at level k-1). Every count
-is exact, and the enumeration of T(types) stops as soon as every possible
-modal vector has appeared.
+over T(stage k-1) are exactly those over T(types at level k-1). Each pair of
+a proposition vector and a modal vector is one point of the column step
+(``semantics.tabulate``), which reads the connectives off the session's
+tables. Every count is exact, and the enumeration of T(types) stops as soon
+as every possible modal vector has appeared.
 
 The answer comes from the top-level types alone, so affirmative validity and
 consequence, and negative satisfiability, never touch stage n and are
@@ -23,15 +25,15 @@ with a concrete finite model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Callable, Sequence
 
 from .functors import push_delta
 from .report import BudgetError, InputError
-from .semantics import _BIN_TABLE, StageTower, StepEvaluator, TModel, eval_model
+from .semantics import StageTower, StepEvaluator, TModel, eval_model, local_nodes, tabulate
 from .session import Session
-from .syntax import Bin, Const, Formula, Modal, Prop, rank, subformulas
+from .syntax import Formula, Modal, Prop, rank, subformulas
 
 __all__ = ["Verdict", "validity", "consequence", "satisfiable", "lemma2_model"]
 
@@ -44,16 +46,9 @@ class Verdict:
     mode: str
     stage: int
     witness: dict | None = None
-    budget_note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "answer": self.answer,
-            "mode": self.mode,
-            "stage": self.stage,
-            "witness": self.witness,
-            "budget_note": self.budget_note,
-        }
+        return asdict(self)
 
 
 def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
@@ -66,23 +61,6 @@ def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
 
 
 # -- realized types ----------------------------------------------------------------
-
-
-def _local_nodes(roots: Sequence[Formula]) -> list[Formula]:
-    """Subformulas reached from roots without crossing a modality, children first."""
-    seen: dict[Formula, None] = {}
-
-    def walk(f: Formula) -> None:
-        if f in seen:
-            return
-        if isinstance(f, Bin):
-            walk(f.left)
-            walk(f.right)
-        seen[f] = None
-
-    for f in roots:
-        walk(f)
-    return list(seen)
 
 
 def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
@@ -115,14 +93,13 @@ def _realized_types(session: Session, formulas: Sequence[Formula], n: int) -> se
     levels = []  # top down: (roots, local nodes, modal nodes)
     roots = list(dict.fromkeys(formulas))
     while True:
-        nodes = _local_nodes(roots)
+        nodes = local_nodes(roots)
         modals = [f for f in nodes if isinstance(f, Modal)]
         levels.append((roots, nodes, modals))
         if not modals:
             break
         roots = list(dict.fromkeys(a for M in modals for a in M.args))
     bottom = n - len(levels) + 1  # >= 0, since n >= rank
-    tables = {op: getattr(lat, name).tolist() for op, name in _BIN_TABLE.items()}
 
     types: list[tuple] = []
     below: list[Formula] = []
@@ -135,19 +112,15 @@ def _realized_types(session: Session, formulas: Sequence[Formula], n: int) -> se
             raise BudgetError(f"realized types at level {k}",
                               f"{len(prop_vecs)}*{len(modal_vecs)}", session.budget)
         pairs = [(pv, mv) for pv in prop_vecs for mv in modal_vecs]
-        col: dict[Formula, tuple[int, ...]] = {}
-        for f in nodes:
-            if isinstance(f, Const):
-                col[f] = (f.value,) * len(pairs)
-            elif isinstance(f, Prop):
+
+        def leaf(f: Formula) -> list[int]:
+            if isinstance(f, Prop):
                 i = props.index(f.name)
-                col[f] = tuple(pv[i] for pv, _ in pairs)
-            elif isinstance(f, Modal):
-                i = modals.index(f)
-                col[f] = tuple(mv[i] for _, mv in pairs)
-            else:
-                table = tables[f.op]
-                col[f] = tuple(table[a][b] for a, b in zip(col[f.left], col[f.right]))
+                return [pv[i] for pv, _ in pairs]
+            i = modals.index(f)
+            return [mv[i] for _, mv in pairs]
+
+        col = tabulate(session, roots, len(pairs), leaf)
         types = sorted(set(zip(*(col[f] for f in roots))))
         below = roots
     index = {f: i for i, f in enumerate(below)}

@@ -179,6 +179,7 @@ class Functor:
     """Object action on canonical finite carriers plus decoded-form codecs."""
 
     name: str = "?"
+    table_valued = False  # elements are tables over Hom(n, A), so encode walks that domain
 
     def __init__(self, lat: ResiduatedLattice):
         self.lat = lat
@@ -217,6 +218,14 @@ class Functor:
     def describe(self, delta, elem_text: Callable[[object], str]) -> str:
         raise NotImplementedError
 
+    def sigma_from_json(self, n: int, entry):
+        """Delta form over states 0..n-1 from a model file's sigma entry."""
+        raise NotImplementedError
+
+    def sigma_to_json(self, n: int, delta) -> list[int]:
+        """The model file's sigma entry of a delta form over states 0..n-1."""
+        raise NotImplementedError
+
     def config(self) -> dict:
         return {"functor": self.name}
 
@@ -252,6 +261,15 @@ class Powerset(Functor):
         inner = ", ".join(elem_text(e) for e in sorted(delta, key=sort_key))
         return "{" + inner + "}"
 
+    def sigma_from_json(self, n: int, entry):
+        ids = [int(x) for x in entry]
+        if any(not 0 <= x < n for x in ids):
+            raise InputError(f"state id outside 0..{n - 1}")
+        return frozenset(ids)
+
+    def sigma_to_json(self, n: int, delta) -> list[int]:
+        return sorted(delta)
+
 
 class FuzzyHom(Functor):
     """T(S) = Hom(S, A); covariant action = join-based direct image."""
@@ -272,10 +290,7 @@ class FuzzyHom(Functor):
         return ("fz", tuple((i, v) for i, v in enumerate(vals) if v != self.lat.bot))
 
     def encode(self, n: int, delta) -> int:
-        vals = [self.lat.bot] * n
-        for e, v in delta[1]:
-            vals[e] = v
-        return undigits(self.lat.size, vals)
+        return undigits(self.lat.size, self.sigma_to_json(n, delta))
 
     def base_elem(self, n: int):
         return ("fz", ())
@@ -284,11 +299,24 @@ class FuzzyHom(Functor):
         inner = ", ".join(f"{elem_text(e)}:{self.lat.label(v)}" for e, v in delta[1])
         return "fz{" + inner + "}"
 
+    def sigma_from_json(self, n: int, entry):
+        vals = [int(v) for v in entry]
+        if len(vals) != n or any(not 0 <= v < self.lat.size for v in vals):
+            raise InputError(f"expected {n} values below {self.lat.size}")
+        return ("fz", tuple((i, v) for i, v in enumerate(vals) if v != self.lat.bot))
+
+    def sigma_to_json(self, n: int, delta) -> list[int]:
+        vals = [self.lat.bot] * n
+        for e, v in delta[1]:
+            vals[e] = v
+        return vals
+
 
 class Neighborhood(Functor):
     """T(S) = Hom(Hom(S, A), A); doubly contravariant, hence covariant."""
 
     name = "neighborhood"
+    table_valued = True
 
     def _homsize(self, n: int) -> int:
         return self.lat.size ** n
@@ -324,11 +352,21 @@ class Neighborhood(Functor):
         over = ",".join(elem_text(e) for e in mapping)
         return f"nb[{labels} over ({over})]"
 
+    def sigma_from_json(self, n: int, entry):
+        vals = [int(v) for v in entry]
+        if len(vals) != self._homsize(n) or any(not 0 <= v < self.lat.size for v in vals):
+            raise InputError(f"expected {self._homsize(n)} table entries below {self.lat.size}")
+        return ("nb", tuple(vals), tuple(range(n)))
+
+    def sigma_to_json(self, n: int, delta) -> list[int]:
+        return _table_row(n, delta[1], delta[2])
+
 
 class Selection(Functor):
     """T(S) = Hom(Hom(S, A), Hom(S, A)) with join-direct-image relabelling."""
 
     name = "selection"
+    table_valued = True
 
     def _homsize(self, n: int) -> int:
         return self.lat.size ** n
@@ -381,6 +419,16 @@ class Selection(Functor):
         over = ",".join(elem_text(e) for e in mapping)
         return f"sel[{','.join(map(str, table))} over ({over})]"
 
+    def sigma_from_json(self, n: int, entry):
+        h = self._homsize(n)
+        vals = [int(v) for v in entry]
+        if len(vals) != h or any(not 0 <= v < h for v in vals):
+            raise InputError(f"expected {h} function ids below {h}")
+        return ("sel", tuple(vals), n, tuple(range(n)))
+
+    def sigma_to_json(self, n: int, delta) -> list[int]:
+        return _table_row(n, delta[1], delta[3])
+
 
 class Distribution(Functor):
     """Probability distributions restricted to the 1/q grid."""
@@ -404,9 +452,6 @@ class Distribution(Functor):
     def size(self, n: int) -> int:
         return self._count(self.q, n)
 
-    def log2_size(self, n: int) -> float:
-        return math.log2(max(self.size(n), 1))
-
     def decode(self, n: int, x: int):
         q, counts = self.q, []
         left = self.q
@@ -421,12 +466,8 @@ class Distribution(Functor):
         return ("ds", tuple((i, c) for i, c in enumerate(counts) if c), q)
 
     def encode(self, n: int, delta) -> int:
-        _, pairs, q = delta
-        counts = [0] * n
-        for e, c in pairs:
-            counts[e] = c
-        x, left = 0, q
-        for i, c in enumerate(counts):
+        x, left = 0, delta[2]
+        for i, c in enumerate(self.sigma_to_json(n, delta)):
             for d in range(left, c, -1):
                 x += self._count(left - d, n - i - 1)
             left -= c
@@ -441,6 +482,27 @@ class Distribution(Functor):
         _, pairs, q = delta
         inner = ", ".join(f"{elem_text(e)}:{c}/{q}" for e, c in pairs)
         return "ds{" + inner + "}"
+
+    def sigma_from_json(self, n: int, entry):
+        counts = [int(c) for c in entry]
+        if len(counts) != n or sum(counts) != self.q or any(c < 0 for c in counts):
+            raise InputError(f"expected {n} nonnegative counts summing to {self.q}")
+        return ("ds", tuple((i, c) for i, c in enumerate(counts) if c), self.q)
+
+    def sigma_to_json(self, n: int, delta) -> list[int]:
+        counts = [0] * n
+        for e, c in delta[1]:
+            counts[e] = c
+        return counts
+
+
+def _table_row(n: int, table, mapping) -> list[int]:
+    """A function-table transition as a model-file row; only a table indexed
+    by the state set itself has one."""
+    if tuple(mapping) != tuple(range(n)):
+        raise InputError("transition tables are indexed off the state set; "
+                         "this model evaluates but does not serialize")
+    return list(table)
 
 
 _KINDS = {f.name: f for f in (Powerset, FuzzyHom, Neighborhood, Selection)}

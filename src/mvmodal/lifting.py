@@ -13,14 +13,12 @@ from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .algebra import FuzzySubset, ResiduatedLattice
-from .functors import Distribution, Functor, Selection, ValuationSet, push_delta
+from .functors import Functor, Selection, push_delta
 from .report import BudgetError, InputError, ValidationReport
 
 __all__ = [
     "PredicateLifting",
     "LiftingRegistry",
-    "LiftedModality",
-    "PropModality",
     "standard_liftings",
     "apply_lifting",
     "expected_truth",
@@ -41,30 +39,6 @@ class PredicateLifting:
 
     def value_at(self, delta, args: Sequence[Callable]) -> int:
         return self.fn(self.lat, self.functor, delta, args)
-
-
-class LiftedModality:
-    """The stage-level reading of a lifting: acts on (valuation, delta) pairs
-    and ignores the valuation component by construction."""
-
-    def __init__(self, lifting: PredicateLifting):
-        self.lifting = lifting
-
-    def value_at_pair(self, pair, args) -> int:
-        _nu, delta = pair[0], pair[1]
-        return self.lifting.value_at(delta, args)
-
-
-class PropModality:
-    """The nullary modal reading of a proposition: value read off the
-    valuation component of a (valuation, delta) pair."""
-
-    def __init__(self, valuations: ValuationSet, prop: str):
-        self.valuations = valuations
-        self.index = valuations.props.index(prop)
-
-    def value_at_pair(self, pair, args=()) -> int:
-        return self.valuations.value(pair[0], self.index)
 
 
 # -- evaluators -----------------------------------------------------------------

@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .lifting import check_alpha_preservation
 from .report import BudgetError, InputError, ValidationReport
-from .semantics import StageTower, StepEvaluator
+from .semantics import StageTower, StepEvaluator, local_nodes, tabulate
 from .session import Session
-from .syntax import Bin, Const, Formula, Modal, Prop, propositions_of, rank, substitute
+from .syntax import BIN_OPS, Bin, Const, Formula, Modal, Prop, propositions_of, rank, substitute
 
 __all__ = [
     "Consecution",
@@ -94,52 +94,34 @@ def load_axiom_set(session: Session, source) -> ModalAxiomSet:
 # -- the propositional-surrogate oracle ----------------------------------------------
 
 
-def _surrogates(formulas) -> list[Formula]:
-    """Propositions and maximal modal subformulas, in first-occurrence order."""
-    out: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, (Prop, Modal)):
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
-        elif isinstance(f, Bin):
-            walk(f.left)
-            walk(f.right)
-
-    for f in formulas:
-        walk(f)
-    return out
-
-
-_BIN_TABLE = {"or": "join", "and": "meet", "fuse": "mono", "imp": "impl"}
-
-
-def _surrogate_value(session: Session, f: Formula, env: dict[Formula, int]) -> int:
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Bin):
-        table = getattr(session.lat, _BIN_TABLE[f.op])
-        return int(table[_surrogate_value(session, f.left, env),
-                         _surrogate_value(session, f.right, env)])
-    return env[f]
+_SLICE = 4096  # most surrogate assignments tabulated at once, which bounds memory
 
 
 def decide_ax_a(session: Session, premises, conclusion: Formula) -> bool:
-    """Brute-force consequence with modal subformulas frozen into variables."""
+    """Brute-force consequence with propositions and maximal modal
+    subformulas frozen into variables (the atoms). The assignments are
+    tabulated in slices that fix the leading atoms and range over the rest."""
     premises = tuple(premises)
-    for f in (*premises, conclusion):
+    roots = (*premises, conclusion)
+    for f in roots:
         session.validate_formula(f)
-    atoms = _surrogates((*premises, conclusion))
+    atoms = [f for f in local_nodes(roots) if isinstance(f, (Prop, Modal))]
     size = session.lat.size
     if len(atoms) and size ** len(atoms) > session.budget:
         raise BudgetError("surrogate assignment space", f"{size}^{len(atoms)}", session.budget)
+    tail = 0
+    while tail < len(atoms) and size ** (tail + 1) <= _SLICE:
+        tail += 1
+    lead = len(atoms) - tail
+    rows = list(itertools.product(range(size), repeat=tail))
+    trailing = {f: tuple(r[i] for r in rows) for i, f in enumerate(atoms[lead:])}
     top = session.lat.top
-    for combo in itertools.product(range(size), repeat=len(atoms)):
-        env = dict(zip(atoms, combo))
-        if all(_surrogate_value(session, g, env) == top for g in premises):
-            if _surrogate_value(session, conclusion, env) != top:
+    for fixed in itertools.product(range(size), repeat=lead):
+        col = tabulate(session, roots, len(rows), trailing.__getitem__,
+                       {f: (v,) * len(rows) for f, v in zip(atoms, fixed)})
+        prem = [col[g] for g in premises]
+        for i, v in enumerate(col[conclusion]):
+            if v != top and all(p[i] == top for p in prem):
                 return False
     return True
 
@@ -332,7 +314,7 @@ def _catalog(session: Session, level: int, tower: StageTower, cap: int) -> dict 
         before = len(catalog)
         for fa in snapshot:
             for fb in snapshot:
-                for op in _BIN_TABLE:
+                for op in BIN_OPS:
                     add(Bin(op, fa, fb))
         if len(catalog) == before:
             return catalog

@@ -1,10 +1,12 @@
 """Coalgebraic models, the terminal sequence, and the two evaluators.
 
-The model evaluator recurses over formula structure with the coalgebra map
-supplying successors. The step evaluator computes stage semantics on decoded
-stage elements; it is lazy, so stage-n values at the image of a model's
-approximation maps are computable even when the stage carrier itself is far
-beyond any enumeration budget. Their pointwise agreement along the
+``tabulate`` evaluates constants and connectives column-wise from the
+session's tables, given the columns of the propositions and modal nodes; the
+model evaluator, the realized-type deciders and the surrogate oracle differ
+only in where those leaf columns come from. ``StepEvaluator`` reads the same
+semantics pointwise and lazily on decoded stage elements, so stage-n values at
+the image of a model's approximation maps are computable even when the stage
+carrier is far beyond any enumeration budget. Their agreement along the
 approximation tower is the content of the truth-lemma checker.
 """
 from __future__ import annotations
@@ -17,21 +19,20 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .algebra import FuzzySubset
-from .functors import FiniteSet, push_delta
-from .lifting import LiftedModality
+from .functors import push_delta
 from .report import BudgetError, InputError, ValidationReport
 from .session import Session
-from .syntax import Bin, Const, Formula, Modal, Prop, rank
+from .syntax import Bin, Const, Formula, Prop, rank
 
 __all__ = [
     "TModel",
     "load_model",
     "model_to_dict",
+    "local_nodes",
+    "tabulate",
     "eval_model",
     "model_consequence",
     "StageTower",
-    "Stage",
-    "terminal_stage",
     "StepEvaluator",
     "eval_step",
     "step_consequence",
@@ -62,43 +63,11 @@ class TModel:
         return session.valuations.encode(self.valuation[s])
 
 
-def _sigma_from_json(session: Session, n: int, entry, state: int):
-    lat, F = session.lat, session.functor
-    name = F.name
-    try:
-        if name == "powerset":
-            ids = [int(x) for x in entry]
-            if any(not 0 <= x < n for x in ids):
-                raise InputError(f"sigma[{state}]: state id outside 0..{n - 1}")
-            return frozenset(ids)
-        if name == "fuzzyhom":
-            vals = [int(v) for v in entry]
-            if len(vals) != n:
-                raise InputError(f"sigma[{state}]: expected {n} values")
-            return ("fz", tuple((i, v) for i, v in enumerate(vals) if v != lat.bot))
-        if name == "neighborhood":
-            vals = [int(v) for v in entry]
-            if len(vals) != lat.size**n:
-                raise InputError(f"sigma[{state}]: expected {lat.size**n} table entries")
-            return ("nb", tuple(vals), tuple(range(n)))
-        if name == "selection":
-            h = lat.size**n
-            vals = [int(v) for v in entry]
-            if len(vals) != h or any(not 0 <= v < h for v in vals):
-                raise InputError(f"sigma[{state}]: expected {h} function ids below {h}")
-            return ("sel", tuple(vals), n, tuple(range(n)))
-        if name == "distribution":
-            counts = [int(c) for c in entry]
-            if len(counts) != n or sum(counts) != F.q or any(c < 0 for c in counts):
-                raise InputError(f"sigma[{state}]: expected {n} nonnegative counts summing to {F.q}")
-            return ("ds", tuple((i, c) for i, c in enumerate(counts) if c), F.q)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"sigma[{state}]: {exc}") from None
-    raise InputError(f"no model format for functor {name!r}")
-
-
 def _values_in_range(session: Session, vals, what: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in vals)
+    try:
+        out = tuple(int(v) for v in vals)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what}: {exc}") from None
     if any(not 0 <= v < session.lat.size for v in out):
         raise InputError(f"{what}: carrier index outside 0..{session.lat.size - 1}")
     return out
@@ -116,83 +85,93 @@ def load_model(session: Session, source) -> TModel:
         n = int(data["states"])
         valuation_rows = data["valuation"]
         sigma_rows = data["sigma"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"model file needs states/valuation/sigma: {exc}") from None
     if n < 1:
         raise InputError("model needs at least one state")
+    if not isinstance(valuation_rows, list) or not isinstance(sigma_rows, list):
+        raise InputError("model valuation and sigma must be lists")
     if len(valuation_rows) != n or len(sigma_rows) != n:
         raise InputError("valuation/sigma length != states")
     valuation = []
     for s, row in enumerate(valuation_rows):
-        if len(row) != len(session.propositions):
+        if not isinstance(row, list) or len(row) != len(session.propositions):
             raise InputError(f"valuation[{s}] must list {len(session.propositions)} values")
         valuation.append(_values_in_range(session, row, f"valuation[{s}]"))
-    sigma = tuple(_sigma_from_json(session, n, entry, s) for s, entry in enumerate(sigma_rows))
-    return TModel(tuple(valuation), sigma)
+    sigma = []
+    for s, entry in enumerate(sigma_rows):
+        if not isinstance(entry, list):
+            raise InputError(f"sigma[{s}]: expected a list")
+        try:
+            sigma.append(session.functor.sigma_from_json(n, entry))
+        except (InputError, TypeError, ValueError) as exc:
+            raise InputError(f"sigma[{s}]: {exc}") from None
+    return TModel(tuple(valuation), tuple(sigma))
 
 
 def model_to_dict(session: Session, model: TModel) -> dict:
-    F = session.functor
     n = model.n_states
-    rows = []
-    for delta in model.sigma:
-        if F.name == "powerset":
-            rows.append(sorted(delta))
-        elif F.name == "fuzzyhom":
-            vals = [session.lat.bot] * n
-            for e, v in delta[1]:
-                vals[e] = v
-            rows.append(vals)
-        elif F.name in ("neighborhood", "selection"):
-            mapping = delta[2] if F.name == "neighborhood" else delta[3]
-            if tuple(mapping) != tuple(range(n)):
-                raise InputError("transition tables are indexed off the state set; "
-                                 "this model evaluates but does not serialize")
-            rows.append(list(delta[1]))
-        else:
-            counts = [0] * n
-            for e, c in delta[1]:
-                counts[e] = c
-            rows.append(counts)
     return {
         "states": n,
         "valuation": [list(r) for r in model.valuation],
-        "sigma": rows,
+        "sigma": [session.functor.sigma_to_json(n, delta) for delta in model.sigma],
     }
 
 
-_BIN_TABLE = {"or": "join", "and": "meet", "fuse": "mono", "imp": "impl"}
+def local_nodes(roots: Sequence[Formula]) -> list[Formula]:
+    """Subformulas reached from roots without crossing a modality, children first."""
+    seen: dict[Formula, None] = {}
+
+    def walk(f: Formula) -> None:
+        if f in seen:
+            return
+        if isinstance(f, Bin):
+            walk(f.left)
+            walk(f.right)
+        seen[f] = None
+
+    for f in roots:
+        walk(f)
+    return list(seen)
+
+
+def tabulate(session: Session, roots: Sequence[Formula], width: int,
+             leaf: Callable[[Formula], Sequence[int]],
+             col: dict | None = None) -> dict[Formula, tuple[int, ...]]:
+    """Adds to col (a fresh dict when None) and returns the value columns, of
+    length width, of roots and their local nodes; leaf(f) gives the column of
+    each proposition or modal node f not already in col."""
+    col = {} if col is None else col
+    for f in local_nodes(roots):
+        if f in col:
+            continue
+        if isinstance(f, Const):
+            col[f] = (f.value,) * width
+        elif isinstance(f, Bin):
+            table = session.tables[f.op]
+            col[f] = tuple(table[a][b] for a, b in zip(col[f.left], col[f.right]))
+        else:
+            col[f] = tuple(leaf(f))
+    return col
 
 
 def eval_model(session: Session, model: TModel, phi: Formula) -> FuzzySubset:
-    """Structural-recursion semantics on a concrete model."""
+    """Semantics on a concrete model, one column over its states per subformula."""
     session.validate_formula(phi)
-    lat = session.lat
     n = model.n_states
-    nus = [model.nu(session, s) for s in range(n)]
     pidx = {p: i for i, p in enumerate(session.propositions)}
-    memo: dict[Formula, tuple[int, ...]] = {}
+    col: dict[Formula, tuple[int, ...]] = {}
 
-    def go(f: Formula) -> tuple[int, ...]:
-        if f in memo:
-            return memo[f]
-        if isinstance(f, Const):
-            vals = (f.value,) * n
-        elif isinstance(f, Prop):
+    def leaf(f: Formula) -> list[int]:
+        if isinstance(f, Prop):
             i = pidx[f.name]
-            vals = tuple(model.valuation[s][i] for s in range(n))
-        elif isinstance(f, Bin):
-            table = getattr(lat, _BIN_TABLE[f.op])
-            left, right = go(f.left), go(f.right)
-            vals = tuple(int(table[a, b]) for a, b in zip(left, right))
-        else:
-            lifted = LiftedModality(session.registry.get(f.name))
-            arg_fns = [go(a).__getitem__ for a in f.args]
-            vals = tuple(lifted.value_at_pair((nus[s], model.sigma[s]), arg_fns) for s in range(n))
-        memo[f] = vals
-        return vals
+            return [row[i] for row in model.valuation]
+        tabulate(session, f.args, n, leaf, col)
+        lf = session.registry.get(f.name)
+        args = [col[a].__getitem__ for a in f.args]
+        return [lf.value_at(delta, args) for delta in model.sigma]
 
-    return FuzzySubset(go(phi))
+    return FuzzySubset(tabulate(session, [phi], n, leaf, col)[phi])
 
 
 def model_consequence(session: Session, model: TModel, premises: Sequence[Formula],
@@ -269,7 +248,7 @@ class StageTower:
         return self._decode_full[key]
 
     def _guard_encode(self, k: int) -> None:
-        if self.s.functor.name in ("neighborhood", "selection"):
+        if self.s.functor.table_valued:
             h = self.s.lat.size ** self.size(k)
             if h > self.ENC_CAP:
                 raise BudgetError(f"encoding into T(stage {k}) (function table domain)",
@@ -403,19 +382,6 @@ class StageTower:
         return lambda elem: (elem[0], push_delta(self.s.lat, elem[1], inner))
 
 
-@dataclass(eq=False)
-class Stage:
-    level: int
-    carrier: FiniteSet
-    tower: StageTower
-
-
-def terminal_stage(session: Session, n: int, tower: StageTower | None = None) -> Stage:
-    tower = tower or StageTower(session)
-    size = tower.size(n)
-    return Stage(n, FiniteSet(size, lambda t: tower.describe(n, t)), tower)
-
-
 # -- step semantics ------------------------------------------------------------------
 
 
@@ -438,7 +404,6 @@ class StepEvaluator:
         key = (phi, k, elem)
         if key in self._memo:
             return self._memo[key]
-        lat = self.s.lat
         if isinstance(phi, Const):
             out = phi.value
         elif isinstance(phi, Prop):
@@ -448,14 +413,12 @@ class StepEvaluator:
             if out is None:
                 out = self.s.valuations.value(elem[0], self._pidx[phi.name])
         elif isinstance(phi, Bin):
-            table = getattr(lat, _BIN_TABLE[phi.op])
-            out = int(table[self.value(phi.left, k, elem), self.value(phi.right, k, elem)])
+            out = self.s.tables[phi.op][self.value(phi.left, k, elem)][self.value(phi.right, k, elem)]
         else:
             if k == 0:
                 raise InputError("modal formula needs stage >= 1 (rank exceeds stage 0)")
-            lifted = LiftedModality(self.s.registry.get(phi.name))
             args = [lambda e, a=a: self.value(a, k - 1, e) for a in phi.args]
-            out = lifted.value_at_pair(elem, args)
+            out = self.s.registry.get(phi.name).value_at(elem[1], args)
         self._memo[key] = out
         return out
 

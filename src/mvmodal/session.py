@@ -13,13 +13,14 @@ from .functors import Functor, ValuationSet, make_functor
 from .lifting import LiftingRegistry, standard_liftings
 from .parsing import parse_formula
 from .report import InputError
-from .syntax import Const, Formula, Modal, Prop, pretty, subformulas
+from .syntax import BIN_OPS, Const, Formula, Modal, Prop, pretty, subformulas
 
 __all__ = ["Session", "algebra_from_spec"]
 
 _BUILTIN = re.compile(r"^(boolean|lukasiewicz|goedel)(?::(\d+))?$")
 _CPAT = re.compile(r"^c\d+$")
 DEFAULT_BUDGET = 10**6
+_LATTICE_OPS = ("join", "meet", "mono", "impl")  # the lattice table of each of BIN_OPS
 
 
 def algebra_from_spec(spec) -> ResiduatedLattice:
@@ -28,6 +29,8 @@ def algebra_from_spec(spec) -> ResiduatedLattice:
         return load_algebra(spec)
     if isinstance(spec, ResiduatedLattice):
         return spec
+    if not isinstance(spec, (str, Path)):
+        raise InputError(f"algebra spec must be a name, a file path or an object, got {spec!r}")
     m = _BUILTIN.match(str(spec))
     if m:
         return builtin_lattice(m.group(1), int(m.group(2) or 2))
@@ -47,6 +50,7 @@ class Session:
     cache_dir: Path | None = None
     registry: LiftingRegistry = field(init=False)
     valuations: ValuationSet = field(init=False)
+    tables: dict[str, list[list[int]]] = field(init=False)  # connective -> value table
 
     def __post_init__(self):
         self.propositions = tuple(self.propositions)
@@ -60,6 +64,7 @@ class Session:
             if p in self.registry.liftings:
                 raise InputError(f"proposition name {p!r} collides with a modality")
         self.valuations = ValuationSet(self.propositions, self.lat.size)
+        self.tables = {op: getattr(self.lat, name).tolist() for op, name in zip(BIN_OPS, _LATTICE_OPS)}
         if self.budget < 1:
             raise InputError("budget must be positive")
         env_cache = os.environ.get("MVMODAL_CACHE")
@@ -111,14 +116,20 @@ class Session:
             value = data.get(key)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise InputError(f"{key} must be an integer, got {value!r}")
+        props = data.get("propositions", ())
+        if not isinstance(props, (list, tuple)) or not all(isinstance(p, str) for p in props):
+            raise InputError(f"propositions must be a list of names, got {props!r}")
+        cache_dir = data.get("cache_dir")
+        if cache_dir and not isinstance(cache_dir, (str, Path)):
+            raise InputError(f"cache_dir must be a path, got {cache_dir!r}")
         return cls(
             lat=lat,
             functor=functor,
-            propositions=tuple(data.get("propositions", ())),
+            propositions=tuple(props),
             budget=DEFAULT_BUDGET if data.get("budget") is None else data["budget"],
             threshold=threshold,
             iota0=data.get("iota0"),
-            cache_dir=Path(data["cache_dir"]) if data.get("cache_dir") else None,
+            cache_dir=Path(cache_dir) if cache_dir else None,
         )
 
     def fingerprint(self) -> str:

@@ -1,4 +1,4 @@
-"""Formula syntax: AST nodes, modal rank, strata, substitution, printing.
+"""Formula syntax: AST nodes, modal rank, substitution, printing.
 
 Connective tags: "or" (lattice join), "and" (lattice meet), "fuse" (monoidal
 product), "imp" (residuum). The biconditional is surface syntax only and
@@ -20,7 +20,6 @@ __all__ = [
     "Modal",
     "BIN_OPS",
     "rank",
-    "in_stratum",
     "subformulas",
     "propositions_of",
     "substitute",
@@ -73,10 +72,6 @@ def rank(phi: Formula) -> int:
     if isinstance(phi, Bin):
         return max(rank(phi.left), rank(phi.right))
     return 1 + max(rank(a) for a in phi.args)
-
-
-def in_stratum(phi: Formula, n: int) -> bool:
-    return rank(phi) <= n
 
 
 def subformulas(phi: Formula):

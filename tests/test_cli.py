@@ -272,3 +272,46 @@ def test_deep_connective_chain_is_input_error(capsys):
     code, _, err = invoke(capsys, "valid", " | ".join(["p"] * 3000))
     assert code == 2
     assert err.startswith("ERROR ParseError")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("propositions", "pq"), ("propositions", 5), ("propositions", [1]),
+    ("algebra", 5), ("cache_dir", 5),
+])
+def test_mistyped_config_values_are_input_errors(capsys, tmp_path, key, value):
+    cfg = write_json(tmp_path, "cfg.json", {"propositions": ["p"], key: value})
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", "valid", "c1")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"]["kind"] == "InputError"
+    assert key in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("functor,change", [
+    ("powerset", {"states": "x"}), ("powerset", {"valuation": 5}), ("powerset", {"sigma": 5}),
+    ("powerset", {"valuation": [5, [0, 1]]}), ("powerset", {"valuation": [["x", 0], [0, 1]]}),
+    ("powerset", {"sigma": ["1", []]}), ("fuzzyhom", {"sigma": [[7, 0], [0, 0]]}),
+    ("neighborhood", {"sigma": [[9, 0, 0, 0], [0, 0, 0, 0]]}),
+])
+def test_mistyped_model_is_input_error(capsys, tmp_path, functor, change):
+    cfg = write_json(tmp_path, "cfg.json", {"functor": functor, "propositions": ["p", "q"]})
+    model = write_json(tmp_path, "model.json", {**MODEL, **change})
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", "eval", "--model", model, "p")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "InputError"
+
+
+def test_unexpected_exception_is_exit_three(capsys, monkeypatch):
+    from mvmodal import cli
+
+    def fault(*args, **kwargs):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(cli, "validity", fault)
+    code, out, err = invoke(capsys, "--json", "valid", "p")
+    assert code == 3
+    assert json.loads(out) == {"error": {"kind": "RuntimeError", "message": "planted fault"}}
+    assert "Traceback" in err
+    code, out, err = invoke(capsys, "valid", "p")
+    assert code == 3 and out == ""
+    assert err.rstrip().endswith("ERROR RuntimeError: planted fault")

@@ -144,7 +144,7 @@ def test_satisfiable_matches_model_search_oracle(boolean_ps):
 def test_verdict_to_dict_shape(boolean_ps):
     v = validity(boolean_ps, boolean_ps.parse("box(p)"))
     d = v.to_dict()
-    assert set(d) == {"answer", "mode", "stage", "witness", "budget_note"}
+    assert set(d) == {"answer", "mode", "stage", "witness"}
     assert d["mode"] == "valid" and d["witness"]["element"] >= 0
 
 

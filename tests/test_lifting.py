@@ -5,7 +5,7 @@ import pytest
 from mvmodal import (Distribution, FuzzyHom, InputError, Neighborhood, Powerset,
                      PredicateLifting, Selection, apply_lifting, builtin_lattice,
                      check_alpha_preservation, check_naturality, standard_liftings)
-from mvmodal.lifting import LiftedModality, expected_truth, floor_to_chain
+from mvmodal.lifting import expected_truth, floor_to_chain
 
 BOOL = builtin_lattice("boolean", 2)
 L3 = builtin_lattice("lukasiewicz", 3)
@@ -100,14 +100,6 @@ def test_distribution_liftings_need_chain_values():
     bare = load_algebra(tables)
     with pytest.raises(InputError):
         standard_liftings(bare, Distribution(bare, 2))
-
-
-def test_lifted_modality_ignores_valuation_component():
-    box = get(BOOL, Powerset(BOOL), "box")
-    lm = LiftedModality(box)
-    f = (0, 1)
-    assert lm.value_at_pair((0, frozenset({1})), [f.__getitem__]) == 1
-    assert lm.value_at_pair((1, frozenset({1})), [f.__getitem__]) == 1
 
 
 # -- naturality ------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from mvmodal import proofkit
 from mvmodal import (BudgetError, InputError, check_derivation,
                      check_step_n_soundness, decide_ax_a, load_axiom_set,
                      load_derivation, one_step_soundness_report)
@@ -91,6 +93,46 @@ def test_decide_ax_a_budget_guard():
     s = make_session(algebra="lukasiewicz:3", propositions=("p", "q", "r"), budget=10)
     with pytest.raises(BudgetError):
         decide_ax_a(s, [], s.parse("p | q | r"))
+
+
+# atoms beyond the first seven are fixed per slice: 3^8 and 3^9 assignments
+# take 3 and 9 slices of 3^7
+SLICE_ATOMS = ["p", "q", "r", "box(p /\\ q)", "diamond(p)", "box(q -> r)",
+               "diamond(r & q)", "box(r)", "diamond(p | q)"]
+
+
+def combine(rng, parts):
+    parts = list(parts)
+    while len(parts) > 1:
+        a = parts.pop(rng.randrange(len(parts)))
+        b = parts.pop(rng.randrange(len(parts)))
+        op = rng.choice(["|", "/\\", "&", "->"])
+        parts.append(f"({a} {op} {b})")
+    return parts[0]
+
+
+def test_decide_ax_a_across_slices_matches_fraction_oracle():
+    s = make_session(algebra="lukasiewicz:3", propositions=("p", "q", "r"))
+    assert 3 ** 8 > proofkit._SLICE
+    rng = random.Random(4)
+    cases = []
+    for k in (8, 9, 8, 9):
+        atoms = rng.sample(SLICE_ATOMS, k)
+        cases.append(((), combine(rng, atoms)))
+        premise = combine(rng, atoms[:4])
+        cases.append(((premise,), f"{combine(rng, atoms[4:])} | {premise}"))
+    tautology = combine(rng, SLICE_ATOMS[:8])
+    cases.append(((), f"{tautology} -> {tautology}"))
+    # the only counterexamples give p, the leading atom, the value 1: last slice
+    cases.append((("p",), " | ".join(SLICE_ATOMS[1:8])))
+    answers = []
+    for prem_texts, conc_text in cases:
+        premises = [s.parse(t) for t in prem_texts]
+        conclusion = s.parse(conc_text)
+        got = decide_ax_a(s, premises, conclusion)
+        assert got == fraction_oracle(s, premises, conclusion), (prem_texts, conc_text)
+        answers.append(got)
+    assert answers[-2:] == [True, False] and True in answers[:-2] and False in answers[:-2]
 
 
 def test_modal_arguments_are_opaque(boolean_ps):

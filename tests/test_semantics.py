@@ -6,7 +6,7 @@ from mvmodal import (BudgetError, InputError, StageTower, StepEvaluator,
                      check_lemma1, check_stage_coherence, check_truth_lemma,
                      eval_model, eval_step, lemma2_model, load_model,
                      model_consequence, model_to_dict, sigma_k, sigma_states,
-                     step_consequence, terminal_stage)
+                     step_consequence)
 from conftest import make_session, random_formula, random_model
 
 FUNCTORS = ["powerset", "fuzzyhom", "neighborhood", "selection", "distribution:2"]
@@ -92,12 +92,6 @@ def test_stage_describe_nested(boolean_ps1):
     assert tower.describe(0, 0) == "<p=0>"
     assert tower.describe(1, 0) == "<p=0; {}>"
     assert tower.describe(1, 7) == "<p=1; {<p=0>, <p=1>}>"
-
-
-def test_terminal_stage_wrapper(boolean_ps1):
-    stage = terminal_stage(boolean_ps1, 1)
-    assert stage.level == 1 and stage.carrier.size == 8
-    assert stage.carrier.describe(0) == "<p=0; {}>"
 
 
 def test_iota_gamma_tables_retraction(boolean_ps1):
