@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .functors import push_delta
 from .report import BudgetError, InputError
-from .semantics import StageTower, StepEvaluator, TModel, eval_model, local_nodes, tabulate
+from .semantics import StageTower, StepEvaluator, TModel, eval_model, level_plan, tabulate
 from .session import Session
 from .syntax import Formula, Modal, Prop, rank, subformulas
 
@@ -90,15 +90,7 @@ def _realized_types(session: Session, formulas: Sequence[Formula], n: int) -> se
     modal nodes that level k reaches without crossing a modality.
     """
     lat = session.lat
-    levels = []  # top down: (roots, local nodes, modal nodes)
-    roots = list(dict.fromkeys(formulas))
-    while True:
-        nodes = local_nodes(roots)
-        modals = [f for f in nodes if isinstance(f, Modal)]
-        levels.append((roots, nodes, modals))
-        if not modals:
-            break
-        roots = list(dict.fromkeys(a for M in modals for a in M.args))
+    levels = level_plan(formulas)
     bottom = n - len(levels) + 1  # >= 0, since n >= rank
 
     types: list[tuple] = []

@@ -225,17 +225,16 @@ def check_naturality(lifting: PredicateLifting, bound: int = 2, budget: int = 10
 
 def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: int = 2,
                              family_bound: int = 2, g_family_bound: int | None = None,
-                             include_empty_g: bool = False, budget: int = 10**6) -> ValidationReport:
+                             budget: int = 10**6) -> ValidationReport:
     """Bounded certificate that the lifting maps alpha-cut-ordered families to
     alpha-cut-ordered families (unary liftings only).
 
     F ranges over families of size 0..family_bound (the empty intersection is
-    the full domain); G starts at size 1 unless include_empty_g is set.
+    the full domain); G starts at size 1.
     """
     if lifting.arity != 1:
         raise InputError(f"alpha-preservation is defined for unary liftings; {lifting.name} is {lifting.arity}-ary")
     lat, F = lifting.lat, lifting.functor
-    g_low = 0 if include_empty_g else 1
     g_high = family_bound if g_family_bound is None else g_family_bound
     for what, value in (("set bound", set_bound), ("family bound", family_bound),
                         ("G family bound", g_high)):
@@ -272,7 +271,7 @@ def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: i
         for fsize in range(family_bound + 1):
             for fam_f in combinations(subsets, fsize):
                 fi, li = inter(fam_f), inter_l(fam_f)
-                for gsize in range(g_low, g_high + 1):
+                for gsize in range(1, g_high + 1):
                     for fam_g in combinations(subsets, gsize):
                         gu = gl = 0
                         for gv in fam_g:

@@ -15,10 +15,11 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .lifting import check_alpha_preservation
 from .report import BudgetError, InputError, ValidationReport
-from .semantics import StageTower, StepEvaluator, local_nodes, tabulate
+from .semantics import StageTower, local_nodes, stage_columns, tabulate
 from .session import Session
 from .syntax import BIN_OPS, Bin, Const, Formula, Modal, Prop, propositions_of, rank, substitute
 
@@ -95,6 +96,7 @@ def load_axiom_set(session: Session, source) -> ModalAxiomSet:
 
 
 _SLICE = 4096  # most surrogate assignments tabulated at once, which bounds memory
+_REALIZE_CAP = 4096  # largest truth-table space the realizer catalog closes over
 
 
 def decide_ax_a(session: Session, premises, conclusion: Formula) -> bool:
@@ -260,75 +262,48 @@ def check_derivation(session: Session, tree: DerivationNode,
 # -- step-n soundness --------------------------------------------------------------------
 
 
-def _prop_occurrence_levels(phi: Formula, at: int) -> dict[str, set[int]]:
-    """Stage levels at which each proposition is consulted when phi sits at `at`."""
-    out: dict[str, set[int]] = {}
-
-    def walk(f: Formula, k: int) -> None:
-        if isinstance(f, Prop):
-            out.setdefault(f.name, set()).add(k)
-        elif isinstance(f, Bin):
-            walk(f.left, k)
-            walk(f.right, k)
-        elif isinstance(f, Modal):
-            for a in f.args:
-                walk(a, k - 1)
-
-    walk(phi, at)
-    return out
-
-
-def _catalog(session: Session, level: int, tower: StageTower, cap: int) -> dict | None:
+def _catalog(session: Session, level: int, tower: StageTower) -> dict | None:
     """All truth functions on stage `level` denotable by formulas, as a map
-    table -> formula; None when the table space exceeds the cap. The closure
-    saturates, so absence from the catalog is absence of a realizer."""
+    table -> formula; None when the table space exceeds _REALIZE_CAP. The
+    closure saturates, so absence from the catalog is absence of a realizer."""
     size = tower.size(level)
-    if session.lat.size ** size > cap:
+    if session.lat.size ** size > _REALIZE_CAP:
         return None
-    ev = StepEvaluator(session)
-    elems = [tower.decode_full(level, t) for t in range(size)]
-
-    def table_of(phi: Formula) -> tuple[int, ...]:
-        return tuple(ev.value(phi, level, e) for e in elems)
-
     catalog: dict[tuple[int, ...], Formula] = {}
-
-    def add(phi: Formula) -> None:
-        tab = table_of(phi)
-        if tab not in catalog:
-            catalog[tab] = phi
-
-    for i in range(session.lat.size):
-        add(Const(i))
-    for p in session.propositions:
-        add(Prop(p))
+    base = [Const(i) for i in range(session.lat.size)] + [Prop(p) for p in session.propositions]
+    col = stage_columns(session, tower, base, level)
+    for f in base:
+        catalog.setdefault(col[f], f)
     if level >= 1:
-        below = _catalog(session, level - 1, tower, cap)
+        below = _catalog(session, level - 1, tower)
         if below is None:
             return None
         for name, arity in session.registry.arities().items():
-            for combo in itertools.product(below.values(), repeat=arity):
-                add(Modal(name, tuple(combo)))
+            for combo in itertools.product(below.items(), repeat=arity):
+                tab = tuple(tower.lift(level, name, [t for t, _ in combo]))
+                if tab not in catalog:
+                    catalog[tab] = Modal(name, tuple(f for _, f in combo))
     while True:
-        snapshot = list(catalog.values())
+        snapshot = list(catalog.items())
         before = len(catalog)
-        for fa in snapshot:
-            for fb in snapshot:
-                for op in BIN_OPS:
-                    add(Bin(op, fa, fb))
+        for (ta, fa), (tb, fb), op in itertools.product(snapshot, snapshot, BIN_OPS):
+            table = session.tables[op]
+            tab = tuple(table[a][b] for a, b in zip(ta, tb))
+            if tab not in catalog:
+                catalog[tab] = Bin(op, fa, fb)
         if len(catalog) == before:
             return catalog
 
 
 def check_step_n_soundness(session: Session, axioms: ModalAxiomSet, n: int,
-                           tower: StageTower | None = None,
-                           realize_cap: int = 4096) -> ValidationReport:
+                           tower: StageTower | None = None) -> ValidationReport:
     """Sweep every assignment of stage-(n-1) truth functions to each axiom's
     propositions and check the stage-n consequence. Passing certifies step-n
     soundness, since semantic assignments subsume denotations of syntactic
     substitutions; a failing assignment is reported as refuted when every
     assigned truth function is realized by an actual formula, and as
-    inconclusive otherwise.
+    inconclusive otherwise. An assigned table is a proposition's column at
+    level n-1 (inside a modality) and, composed with gamma_{n-1}, at level n.
     """
     if n < 1:
         raise InputError("step-n soundness needs n >= 1")
@@ -341,15 +316,7 @@ def check_step_n_soundness(session: Session, axioms: ModalAxiomSet, n: int,
     top = session.lat.top
 
     for name, cons in axioms.axioms:
-        levels: dict[str, set[int]] = {}
-        for f in cons.formulas():
-            for p, ks in _prop_occurrence_levels(f, n).items():
-                levels.setdefault(p, set()).update(ks)
-        props = sorted(levels)
-        if any(k not in (n - 1, n) for ks in levels.values() for k in ks):
-            raise InputError(f"axiom {name!r} leaves the rank-1 fragment")
-        if any(n in ks for ks in levels.values()) and gamma is None:
-            gamma = tower.gamma_table(n - 1)
+        props = sorted(set().union(*map(propositions_of, cons.formulas())))
         space = (session.lat.size ** prev_size) ** len(props)
         if space * stage_size > session.budget:
             raise BudgetError(f"assignment sweep for axiom {name!r}",
@@ -359,45 +326,39 @@ def check_step_n_soundness(session: Session, axioms: ModalAxiomSet, n: int,
         for combo in itertools.product(tables, repeat=len(props)):
             assigned = dict(zip(props, combo))
 
-            def prop_sem(pname: str, k: int, elem) -> int | None:
-                if pname not in assigned:
-                    return None
-                t = tower.encode_full(k, elem)
-                if k == n:
-                    t = gamma[t]
-                return assigned[pname][t]
+            def prop(pname: str, k: int) -> Sequence[int]:
+                nonlocal gamma
+                if k < n:
+                    return assigned[pname]
+                if gamma is None:
+                    gamma = tower.gamma_table(n - 1)
+                return [assigned[pname][u] for u in gamma]
 
-            ev = StepEvaluator(session, prop_semantics=prop_sem)
-            for t in range(stage_size):
-                elem = tower.decode_full(n, t)
-                if all(ev.value(g, n, elem) == top for g in cons.premises) \
-                        and ev.value(cons.conclusion, n, elem) != top:
-                    if catalog is False:
-                        catalog = _catalog(session, n - 1, tower, realize_cap)
-                    if catalog is None:
-                        status = "inconclusive (realization search skipped: table space over cap)"
-                        realizers = {}
-                    else:
-                        realizers = {p: catalog.get(tab) for p, tab in assigned.items()}
-                        if all(f is not None for f in realizers.values()):
-                            status = "refuted"
-                        else:
-                            status = "inconclusive (counterexample assignment is not formula-denotable)"
-                    shown = {p: (session.pretty(f) if f is not None
-                                 else "/".join(session.lat.label(v) for v in assigned[p]))
-                             for p, f in realizers.items()} if catalog else \
-                            {p: "/".join(session.lat.label(v) for v in tab)
-                             for p, tab in assigned.items()}
-                    report.fail(
-                        "step-n-consequence",
-                        (name, tuple(sorted(shown.items())), t),
-                        f"{status}; axiom {name!r} fails at {tower.describe(n, t)}"
-                        + (f" under {shown}" if shown else ""),
-                    )
-                    break
-            else:
+            col = stage_columns(session, tower, cons.formulas(), n, prop)
+            prem = [col[g] for g in cons.premises]
+            t = next((t for t, v in enumerate(col[cons.conclusion])
+                      if v != top and all(p[t] == top for p in prem)), None)
+            if t is None:
                 report.checked += 1
                 continue
+            if catalog is False:
+                catalog = _catalog(session, n - 1, tower)
+            realizers = {p: catalog.get(tab) for p, tab in assigned.items()} if catalog else {}
+            if catalog is None:
+                status = "inconclusive (realization search skipped: table space over cap)"
+            elif None in realizers.values():
+                status = "inconclusive (counterexample assignment is not formula-denotable)"
+            else:
+                status = "refuted"
+            shown = {p: session.pretty(realizers[p]) if realizers.get(p) is not None
+                     else "/".join(session.lat.label(v) for v in tab)
+                     for p, tab in assigned.items()}
+            report.fail(
+                "step-n-consequence",
+                (name, tuple(sorted(shown.items())), t),
+                f"{status}; axiom {name!r} fails at {tower.describe(n, t)}"
+                + (f" under {shown}" if shown else ""),
+            )
             break  # first failing assignment per axiom is enough
     if report.ok:
         report.notes.append(

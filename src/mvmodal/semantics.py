@@ -1,13 +1,18 @@
 """Coalgebraic models, the terminal sequence, and the two evaluators.
 
 ``tabulate`` evaluates constants and connectives column-wise from the
-session's tables, given the columns of the propositions and modal nodes; the
-model evaluator, the realized-type deciders and the surrogate oracle differ
-only in where those leaf columns come from. ``StepEvaluator`` reads the same
-semantics pointwise and lazily on decoded stage elements, so stage-n values at
-the image of a model's approximation maps are computable even when the stage
-carrier is far beyond any enumeration budget. Their agreement along the
-approximation tower is the content of the truth-lemma checker.
+session's tables, given the columns of the propositions and modal nodes. Its
+callers differ only in where those leaf columns come from: the model
+evaluator (over a model's states), the stage walk ``stage_columns`` (over the
+ids of a stage, level by level; behind ``eval_step``, ``step_consequence``,
+``check_stage_coherence`` and the proof kit's soundness sweep and realizer
+catalog), the realized-type deciders and the surrogate oracle.
+``StepEvaluator`` reads the same semantics pointwise and lazily on decoded
+stage elements, for the two callers that cannot take whole columns: the
+witness search, which stops at the first witness, and the truth-lemma
+checker, whose model images can lie in stages far beyond any enumeration
+budget. Their agreement along the approximation tower is the content of the
+truth-lemma checker.
 """
 from __future__ import annotations
 
@@ -22,18 +27,20 @@ from .algebra import FuzzySubset
 from .functors import push_delta
 from .report import BudgetError, InputError, ValidationReport
 from .session import Session
-from .syntax import Bin, Const, Formula, Prop, rank
+from .syntax import Bin, Const, Formula, Modal, Prop, rank
 
 __all__ = [
     "TModel",
     "load_model",
     "model_to_dict",
     "local_nodes",
+    "level_plan",
     "tabulate",
     "eval_model",
     "model_consequence",
     "StageTower",
     "StepEvaluator",
+    "stage_columns",
     "eval_step",
     "step_consequence",
     "sigma_states",
@@ -135,6 +142,20 @@ def local_nodes(roots: Sequence[Formula]) -> list[Formula]:
     return list(seen)
 
 
+def level_plan(roots: Sequence[Formula]) -> list[tuple[list, list, list]]:
+    """Top down from roots, (roots, local nodes, modal nodes) per level; the
+    modal nodes' arguments are the next level's roots."""
+    levels = []
+    roots = list(dict.fromkeys(roots))
+    while True:
+        nodes = local_nodes(roots)
+        modals = [f for f in nodes if isinstance(f, Modal)]
+        levels.append((roots, nodes, modals))
+        if not modals:
+            return levels
+        roots = list(dict.fromkeys(a for M in modals for a in M.args))
+
+
 def tabulate(session: Session, roots: Sequence[Formula], width: int,
              leaf: Callable[[Formula], Sequence[int]],
              col: dict | None = None) -> dict[Formula, tuple[int, ...]]:
@@ -207,6 +228,7 @@ class StageTower:
         self._encode_full: dict[tuple[int, object], int] = {}
         self._iota: dict[int, list[int]] = {}
         self._gamma: dict[int, list[int]] = {}
+        self._forms: dict[int, list] = {}  # stage k -> its T-components (delta forms)
         self._describe: dict[tuple[int, int], str] = {}
 
     # sizes -----------------------------------------------------------------
@@ -266,6 +288,17 @@ class StageTower:
                 self._encode_full[key] = nu * self.tsize(k - 1) + self.s.functor.encode(self.size(k - 1), ids)
         return self._encode_full[key]
 
+    def lift(self, k: int, name: str, args: Sequence[Sequence[int]]) -> list[int]:
+        """Column over stage k >= 1 of modality name on the level-(k-1)
+        columns args. Id nu * tsize(k-1) + d has T-component d, so the column
+        repeats once per valuation."""
+        if k not in self._forms:
+            m = self.size(k - 1)
+            self._forms[k] = [self.s.functor.decode(m, d) for d in range(self.tsize(k - 1))]
+        lf = self.s.registry.get(name)
+        reads = [a.__getitem__ for a in args]
+        return [lf.value_at(d, reads) for d in self._forms[k]] * self.s.valuations.size
+
     def describe(self, k: int, t: int) -> str:
         key = (k, t)
         if key not in self._describe:
@@ -285,15 +318,23 @@ class StageTower:
             return None
         return Path(self.s.cache_dir) / f"{self.s.fingerprint()}-{name}.json"
 
-    def _cache_get(self, name: str):
-        path = self._cache_path(name)
-        if path is None or not path.exists():
-            return None
-        try:
-            with open(path) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
+    def _cached_table(self, name: str, length: int, bound: int,
+                      build: Callable[[], list[int]]) -> list[int]:
+        """The table cached under name when it is a list of length ints in
+        range(bound); otherwise build() it and write it to the cache."""
+        path, cached = self._cache_path(name), None
+        if path is not None:
+            try:
+                with open(path) as fh:
+                    cached = json.load(fh)
+            except (OSError, ValueError):
+                pass
+        if isinstance(cached, list) and len(cached) == length \
+                and all(type(v) is int and 0 <= v < bound for v in cached):
+            return cached
+        table = build()
+        self._cache_put(name, table)
+        return table
 
     def _cache_put(self, name: str, obj) -> None:
         path = self._cache_path(name)
@@ -319,47 +360,38 @@ class StageTower:
         return self.s.iota0
 
     def iota_table(self, k: int) -> list[int]:
-        """Section stage k -> stage k+1 as ids (codomain ids may be bigints)."""
+        """Section stage k -> stage k+1 as ids (codomain ids may be bigints):
+        (nu, d) goes to (nu, T(iota_{k-1})(d))."""
         if k not in self._iota:
-            cached = self._cache_get(f"iota{k}")
-            if cached is not None and len(cached) == self.size(k):
-                self._iota[k] = [int(v) for v in cached]
-                return self._iota[k]
-            if k == 0:
-                t0 = self.tsize(0)
-                base = self.iota0_id()
-                self._iota[k] = [nu * t0 + base for nu in range(self.size(0))]
-            else:
+            F, nus = self.s.functor, range(self.s.valuations.size)
+            if k:
                 self._guard_encode(k)
-                prev = self.iota_table(k - 1)
-                out = []
-                for t in range(self.size(k)):
-                    nu, form = self.decode1(k, t)
-                    pushed = push_delta(self.s.lat, form, prev.__getitem__)
-                    out.append(nu * self.s.functor.size(self.size(k)) + self.s.functor.encode(self.size(k), pushed))
-                self._iota[k] = out
-            self._cache_put(f"iota{k}", self._iota[k])
+            # |T(stage k)|: the guard bounds it, as stage k+1 may be over budget
+            step = F.size(self.size(k)) if k else self.tsize(0)
+
+            def build() -> list[int]:
+                if k == 0:
+                    return [nu * step + self.iota0_id() for nu in nus]
+                pushed = F.map_table(self.iota_table(k - 1), self.size(k - 1), self.size(k))
+                return [nu * step + x for nu in nus for x in pushed]
+
+            self._iota[k] = self._cached_table(f"iota{k}", self.size(k), len(nus) * step, build)
         return self._iota[k]
 
     def gamma_table(self, k: int) -> list[int]:
-        """Projection stage k+1 -> stage k as ids (stage k+1 must be in budget)."""
+        """Projection stage k+1 -> stage k as ids (stage k+1 must be in budget):
+        (nu, d) goes to nu at k = 0 and to (nu, T(gamma_{k-1})(d)) above."""
         if k not in self._gamma:
-            cached = self._cache_get(f"gamma{k}")
-            if cached is not None and len(cached) == self.size(k + 1):
-                self._gamma[k] = [int(v) for v in cached]
-                return self._gamma[k]
-            if k == 0:
-                self._gamma[k] = [u // self.tsize(0) for u in range(self.size(1))]
-            else:
+            F, nus = self.s.functor, range(self.s.valuations.size)
+
+            def build() -> list[int]:
+                if k == 0:
+                    return [nu for nu in nus for _ in range(self.tsize(0))]
                 self._guard_encode(k - 1)
-                prev = self.gamma_table(k - 1)
-                out = []
-                for u in range(self.size(k + 1)):
-                    nu, form = self.decode1(k + 1, u)
-                    pushed = push_delta(self.s.lat, form, prev.__getitem__)
-                    out.append(nu * self.tsize(k - 1) + self.s.functor.encode(self.size(k - 1), pushed))
-                self._gamma[k] = out
-            self._cache_put(f"gamma{k}", self._gamma[k])
+                pushed = F.map_table(self.gamma_table(k - 1), self.size(k), self.size(k - 1))
+                return [nu * self.tsize(k - 1) + x for nu in nus for x in pushed]
+
+            self._gamma[k] = self._cached_table(f"gamma{k}", self.size(k + 1), self.size(k), build)
         return self._gamma[k]
 
     # decoded-level maps (no enumeration of the codomain stage) -----------------
@@ -386,17 +418,11 @@ class StageTower:
 
 
 class StepEvaluator:
-    """Stage-indexed semantics on decoded stage elements, evaluated lazily.
+    """Stage-indexed semantics on decoded stage elements, evaluated lazily
+    and memoised per (formula, level, element)."""
 
-    prop_semantics optionally overrides proposition values (used by the
-    soundness checker to substitute arbitrary stage truth functions); it is
-    called as prop_semantics(name, level, elem) and may return None to fall
-    back to the valuation component.
-    """
-
-    def __init__(self, session: Session, prop_semantics: Callable | None = None):
+    def __init__(self, session: Session):
         self.s = session
-        self.prop_semantics = prop_semantics
         self._pidx = {p: i for i, p in enumerate(session.propositions)}
         self._memo: dict = {}
 
@@ -407,11 +433,7 @@ class StepEvaluator:
         if isinstance(phi, Const):
             out = phi.value
         elif isinstance(phi, Prop):
-            out = None
-            if self.prop_semantics is not None:
-                out = self.prop_semantics(phi.name, k, elem)
-            if out is None:
-                out = self.s.valuations.value(elem[0], self._pidx[phi.name])
+            out = self.s.valuations.value(elem[0], self._pidx[phi.name])
         elif isinstance(phi, Bin):
             out = self.s.tables[phi.op][self.value(phi.left, k, elem)][self.value(phi.right, k, elem)]
         else:
@@ -423,16 +445,43 @@ class StepEvaluator:
         return out
 
 
-def eval_step(session: Session, phi: Formula, n: int, tower: StageTower | None = None,
-              evaluator: StepEvaluator | None = None) -> FuzzySubset:
+def stage_columns(session: Session, tower: StageTower, roots: Sequence[Formula], n: int,
+                  prop: Callable[[str, int], Sequence[int]] | None = None
+                  ) -> dict[Formula, tuple[int, ...]]:
+    """Value columns over the ids of stage n of roots and their local nodes,
+    built bottom up along level_plan(roots). At level k a proposition reads
+    the valuation t // tsize(k-1) of id t (t itself at level 0), a modal node
+    lifts the level-(k-1) columns of its arguments, and tabulate does the
+    rest. prop(name, k), when given, is the column of a proposition at level k
+    instead of its valuation column."""
+    plan = level_plan(roots)
+    bottom = n - len(plan) + 1
+    if bottom < 0:
+        raise InputError(f"formula has rank {len(plan) - 1} > stage {n}")
+    vals = session.valuations
+    pidx = {p: i for i, p in enumerate(session.propositions)}
+    col: dict[Formula, tuple[int, ...]] = {}
+    for k, (level_roots, _, _) in enumerate(reversed(plan), start=bottom):
+        below, col = col, {}
+        size = tower.size(k)
+
+        def leaf(f: Formula) -> Sequence[int]:
+            if not isinstance(f, Prop):
+                return tower.lift(k, f.name, [below[a] for a in f.args])
+            if prop is not None:
+                return prop(f.name, k)
+            i, reps = pidx[f.name], size // vals.size
+            return [vals.value(t // reps, i) for t in range(size)]
+
+        tabulate(session, level_roots, size, leaf, col)
+    return col
+
+
+def eval_step(session: Session, phi: Formula, n: int,
+              tower: StageTower | None = None) -> FuzzySubset:
     """Tabulate stage-n semantics over the whole stage carrier."""
     session.validate_formula(phi)
-    if rank(phi) > n:
-        raise InputError(f"formula has rank {rank(phi)} > stage {n}")
-    tower = tower or StageTower(session)
-    ev = evaluator or StepEvaluator(session)
-    size = tower.size(n)
-    return FuzzySubset(tuple(ev.value(phi, n, tower.decode_full(n, t)) for t in range(size)))
+    return FuzzySubset(stage_columns(session, tower or StageTower(session), [phi], n)[phi])
 
 
 def step_consequence(session: Session, premises: Sequence[Formula], phi: Formula,
@@ -440,14 +489,11 @@ def step_consequence(session: Session, premises: Sequence[Formula], phi: Formula
     """Stage-n consequence; returns the first refuting stage element id."""
     for f in (*premises, phi):
         session.validate_formula(f)
-        if rank(f) > n:
-            raise InputError(f"formula has rank {rank(f)} > stage {n}")
-    tower = tower or StageTower(session)
-    ev = StepEvaluator(session)
+    col = stage_columns(session, tower or StageTower(session), [*premises, phi], n)
     top = session.lat.top
-    for t in range(tower.size(n)):
-        elem = tower.decode_full(n, t)
-        if all(ev.value(g, n, elem) == top for g in premises) and ev.value(phi, n, elem) != top:
+    prem = [col[g] for g in premises]
+    for t, v in enumerate(col[phi]):
+        if v != top and all(p[t] == top for p in prem):
             return False, t
     return True, None
 

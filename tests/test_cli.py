@@ -315,3 +315,26 @@ def test_unexpected_exception_is_exit_three(capsys, monkeypatch):
     code, out, err = invoke(capsys, "valid", "p")
     assert code == 3 and out == ""
     assert err.rstrip().endswith("ERROR RuntimeError: planted fault")
+
+
+AXIOM_IDENTITY = [{"name": "id", "premises": ["p"], "conclusion": "p"}]
+
+
+@pytest.mark.parametrize("entry", ["x", [1], -1, 0.5, True, 10**6])
+@pytest.mark.parametrize("table,argv", [
+    ("iota1", ["sat", "box(box(p)) & p"]),           # the generated witness model
+    ("gamma0", ["check", "axioms", "AXIOMS", "--n", "1"]),  # p outside a modality
+])
+def test_corrupt_cached_table_is_rebuilt(capsys, tmp_path, table, argv, entry):
+    cfg = write_json(tmp_path, "cfg.json", {"propositions": ["p"],
+                                            "cache_dir": str(tmp_path / "cache")})
+    argv = ["--config", cfg] + [write_json(tmp_path, "ax.json", AXIOM_IDENTITY)
+                                if a == "AXIOMS" else a for a in argv]
+    code, fresh_out, _ = invoke(capsys, *argv)
+    assert code == 0
+    [path] = (tmp_path / "cache").glob(f"*-{table}.json")
+    fresh = json.loads(path.read_text())
+    path.write_text(json.dumps([entry] + fresh[1:]))
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (0, fresh_out, "")
+    assert json.loads(path.read_text()) == fresh

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from mvmodal import proofkit
-from mvmodal import (BudgetError, InputError, check_derivation,
-                     check_step_n_soundness, decide_ax_a, load_axiom_set,
-                     load_derivation, one_step_soundness_report)
-from mvmodal.syntax import Bin, Const, Modal, Prop
-from conftest import make_session
+from mvmodal import (BudgetError, InputError, ModalAxiomSet, StageTower, StepEvaluator,
+                     ValidationReport, check_derivation, check_step_n_soundness,
+                     decide_ax_a, load_axiom_set, load_derivation,
+                     one_step_soundness_report)
+from mvmodal.semantics import local_nodes
+from mvmodal.syntax import BIN_OPS, Bin, Const, Modal, Prop, propositions_of
+from conftest import make_session, random_formula
 
 
 # -- an independent Lukasiewicz oracle for the surrogate consequence ---------------------
@@ -329,3 +331,134 @@ def test_one_step_report_empty_axioms_reduces_to_preservation(boolean_ps1):
     assert all(v.law == "alpha-preservation" for v in report.violations)
     n, fam_f, fam_g = report.violations[0].witness
     assert fam_f == ()
+
+
+# -- the soundness sweep against the pointwise reference ------------------------------
+
+
+class AssignedEvaluator(StepEvaluator):
+    """Propositions read their assigned stage-(n-1) tables through encode_full,
+    composed with gamma_{n-1} on stage n."""
+
+    def __init__(self, session, tower, n, assigned):
+        super().__init__(session)
+        self.tower, self.n, self.assigned = tower, n, assigned
+
+    def value(self, phi, k, elem):
+        if isinstance(phi, Prop):
+            t = self.tower.encode_full(k, elem)
+            if k == self.n:
+                t = self.tower.gamma_table(self.n - 1)[t]
+            return self.assigned[phi.name][t]
+        return super().value(phi, k, elem)
+
+
+def pointwise_catalog(session, level, tower):
+    """Table -> first realizing formula on stage `level`: constants,
+    propositions and modal formulas evaluated pointwise on the decoded
+    elements, then closed under the connectives' tables."""
+    size = tower.size(level)
+    if session.lat.size ** size > proofkit._REALIZE_CAP:
+        return None
+    ev = StepEvaluator(session)
+    elems = [tower.decode_full(level, t) for t in range(size)]
+    catalog = {}
+
+    def add(phi):
+        catalog.setdefault(tuple(ev.value(phi, level, e) for e in elems), phi)
+
+    for i in range(session.lat.size):
+        add(Const(i))
+    for p in session.propositions:
+        add(Prop(p))
+    if level >= 1:
+        below = pointwise_catalog(session, level - 1, tower)
+        if below is None:
+            return None
+        for name, arity in session.registry.arities().items():
+            for combo in itertools.product(below.values(), repeat=arity):
+                add(Modal(name, combo))
+    while True:
+        snapshot, before = list(catalog.items()), len(catalog)
+        for (ta, fa), (tb, fb), op in itertools.product(snapshot, snapshot, BIN_OPS):
+            table = session.tables[op]
+            catalog.setdefault(tuple(table[a][b] for a, b in zip(ta, tb)), Bin(op, fa, fb))
+        if len(catalog) == before:
+            return catalog
+
+
+def pointwise_soundness(session, axioms, n):
+    """check_step_n_soundness element by element on decoded stage elements."""
+    tower = StageTower(session)
+    lat, top = session.lat, session.lat.top
+    report = ValidationReport(subject=f"step-{n} soundness")
+    tables = list(itertools.product(range(lat.size), repeat=tower.size(n - 1)))
+    catalog = False
+    for name, cons in axioms.axioms:
+        props = sorted(set().union(*map(propositions_of, cons.formulas())))
+        for combo in itertools.product(tables, repeat=len(props)):
+            assigned = dict(zip(props, combo))
+            ev = AssignedEvaluator(session, tower, n, assigned)
+            refuted = [t for t in range(tower.size(n))
+                       if all(ev.value(g, n, tower.decode_full(n, t)) == top for g in cons.premises)
+                       and ev.value(cons.conclusion, n, tower.decode_full(n, t)) != top]
+            if not refuted:
+                report.checked += 1
+                continue
+            if catalog is False:
+                catalog = pointwise_catalog(session, n - 1, tower)
+            realizers = {p: catalog.get(tab) for p, tab in assigned.items()} if catalog else {}
+            if catalog is None:
+                status = "inconclusive (realization search skipped: table space over cap)"
+            elif any(f is None for f in realizers.values()):
+                status = "inconclusive (counterexample assignment is not formula-denotable)"
+            else:
+                status = "refuted"
+            shown = {p: session.pretty(realizers[p]) if realizers.get(p) is not None
+                     else "/".join(lat.label(v) for v in tab) for p, tab in assigned.items()}
+            t = refuted[0]
+            report.fail("step-n-consequence", (name, tuple(sorted(shown.items())), t),
+                        f"{status}; axiom {name!r} fails at {tower.describe(n, t)}"
+                        + (f" under {shown}" if shown else ""))
+            break
+    if report.ok:
+        report.notes.append(
+            f"all stage-{n - 1} truth-function assignments checked; semantic assignments "
+            f"subsume syntactic substitutions, so the axiom set is step-{n} sound")
+    return report
+
+
+def random_axioms(session, rng, count):
+    """Rank-1 axioms whose propositions occur both inside and outside modalities."""
+    out = []
+    while len(out) < count:
+        premises = [random_formula(session, rng, max_rank=1, size=4)
+                    for _ in range(rng.randrange(2))]
+        conclusion = random_formula(session, rng, max_rank=1, size=6)
+        cons = proofkit.Consecution(tuple(premises), conclusion)
+        nodes = local_nodes(cons.formulas())
+        outside = [f for f in nodes if isinstance(f, Prop)]
+        inside = [a for f in nodes if isinstance(f, Modal) for a in f.args if propositions_of(a)]
+        if outside and inside:
+            out.append((f"ax{len(out)}", cons))
+    return ModalAxiomSet(tuple(out))
+
+
+@pytest.mark.parametrize("functor,props,n", [
+    ("powerset", ("p", "q"), 1),
+    ("fuzzyhom", ("p", "q"), 1),
+    ("neighborhood", ("p",), 1),
+    ("selection", ("p",), 1),
+    ("distribution:2", ("p", "q"), 1),
+    ("powerset", ("p",), 2),
+])
+def test_step_n_soundness_matches_pointwise_sweep(functor, props, n):
+    s = make_session(functor=functor, propositions=props)
+    rng = random.Random(f"soundness:{functor}:{n}")
+    outcomes = set()
+    for name, cons in random_axioms(s, rng, 8 if n == 1 else 3).axioms:
+        single = ModalAxiomSet(((name, cons),))
+        got = check_step_n_soundness(s, single, n).to_dict()
+        assert got == pointwise_soundness(s, single, n).to_dict(), cons.pretty(s)
+        outcomes.add(got["ok"])
+    assert outcomes == {True, False}

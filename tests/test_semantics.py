@@ -7,6 +7,7 @@ from mvmodal import (BudgetError, InputError, StageTower, StepEvaluator,
                      eval_model, eval_step, lemma2_model, load_model,
                      model_consequence, model_to_dict, sigma_k, sigma_states,
                      step_consequence)
+from mvmodal.syntax import rank
 from conftest import make_session, random_formula, random_model
 
 FUNCTORS = ["powerset", "fuzzyhom", "neighborhood", "selection", "distribution:2"]
@@ -147,6 +148,31 @@ def test_step_consequence_witness(boolean_ps1):
     ok, t = step_consequence(s, [s.parse("box(p)"), s.parse("diamond(c1)")],
                              s.parse("diamond(p)"), 1)
     assert ok and t is None
+
+
+@pytest.mark.parametrize("functor", FUNCTORS)
+@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
+def test_eval_step_matches_pointwise_evaluator(algebra, functor):
+    """The stage walk (columns over ids) and StepEvaluator (decoded elements)
+    share no code; they agree on every element of every stage <= 2 in budget."""
+    s = make_session(algebra=algebra, functor=functor, propositions=("p",))
+    rng = random.Random(f"columns:{algebra}:{functor}")
+    tower = StageTower(s)
+    in_budget = []
+    for n in range(3):
+        try:
+            in_budget.append(tower.size(n))
+        except BudgetError:
+            break
+    ev = StepEvaluator(s)
+    stages = set()
+    for _ in range(25):
+        phi = random_formula(s, rng, max_rank=2)
+        for n in range(rank(phi), len(in_budget)):
+            want = tuple(ev.value(phi, n, tower.decode_full(n, t)) for t in range(in_budget[n]))
+            assert eval_step(s, phi, n, tower).values == want, (s.pretty(phi), n)
+            stages.add(n)
+    assert stages == set(range(len(in_budget)))
 
 
 def test_step_evaluator_memoizes_across_formulas(boolean_ps1):
