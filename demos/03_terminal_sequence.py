@@ -8,8 +8,8 @@ evaluation factors through it.
 """
 import random
 
-from mvmodal import (Session, StageTower, StepEvaluator, check_truth_lemma,
-                     eval_step, load_model, sigma_states)
+from mvmodal import (Session, StageTower, check_truth_lemma, eval_step,
+                     load_model, sigma_k)
 
 session = Session.from_config({
     "algebra": "boolean",
@@ -43,12 +43,11 @@ model = load_model(session, {
     "valuation": [[1], [0], [1]],
     "sigma": [[1, 2], [0], []],
 })
-images = sigma_states(session, model, 1)
-ev = StepEvaluator(session)
+images = sigma_k(session, model, 1, tower)
+values = eval_step(session, phi, 1, tower)
 print("\nper state: the state's stage-1 image and the step value there")
 for s in range(3):
-    value = ev.value(phi, 1, images[s])
-    print(f"  state {s}: image {tower.encode_full(1, images[s])}, value {value}")
+    print(f"  state {s}: image {images[s]}, value {values[images[s]]}")
 
 report = check_truth_lemma(session, model, session.parse("box(box(p) | p)"))
 print(f"\n{report.summary()}")

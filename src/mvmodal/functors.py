@@ -26,7 +26,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .algebra import ResiduatedLattice
-from .report import BudgetError, InputError, ValidationReport
+from .report import BudgetError, InputError, ValidationReport, as_int
 
 __all__ = [
     "FiniteSet",
@@ -262,7 +262,7 @@ class Powerset(Functor):
         return "{" + inner + "}"
 
     def sigma_from_json(self, n: int, entry):
-        ids = [int(x) for x in entry]
+        ids = [as_int(x) for x in entry]
         if any(not 0 <= x < n for x in ids):
             raise InputError(f"state id outside 0..{n - 1}")
         return frozenset(ids)
@@ -300,7 +300,7 @@ class FuzzyHom(Functor):
         return "fz{" + inner + "}"
 
     def sigma_from_json(self, n: int, entry):
-        vals = [int(v) for v in entry]
+        vals = [as_int(v) for v in entry]
         if len(vals) != n or any(not 0 <= v < self.lat.size for v in vals):
             raise InputError(f"expected {n} values below {self.lat.size}")
         return ("fz", tuple((i, v) for i, v in enumerate(vals) if v != self.lat.bot))
@@ -353,7 +353,7 @@ class Neighborhood(Functor):
         return f"nb[{labels} over ({over})]"
 
     def sigma_from_json(self, n: int, entry):
-        vals = [int(v) for v in entry]
+        vals = [as_int(v) for v in entry]
         if len(vals) != self._homsize(n) or any(not 0 <= v < self.lat.size for v in vals):
             raise InputError(f"expected {self._homsize(n)} table entries below {self.lat.size}")
         return ("nb", tuple(vals), tuple(range(n)))
@@ -421,7 +421,7 @@ class Selection(Functor):
 
     def sigma_from_json(self, n: int, entry):
         h = self._homsize(n)
-        vals = [int(v) for v in entry]
+        vals = [as_int(v) for v in entry]
         if len(vals) != h or any(not 0 <= v < h for v in vals):
             raise InputError(f"expected {h} function ids below {h}")
         return ("sel", tuple(vals), n, tuple(range(n)))
@@ -484,7 +484,7 @@ class Distribution(Functor):
         return "ds{" + inner + "}"
 
     def sigma_from_json(self, n: int, entry):
-        counts = [int(c) for c in entry]
+        counts = [as_int(c) for c in entry]
         if len(counts) != n or sum(counts) != self.q or any(c < 0 for c in counts):
             raise InputError(f"expected {n} nonnegative counts summing to {self.q}")
         return ("ds", tuple((i, c) for i, c in enumerate(counts) if c), self.q)
@@ -522,7 +522,7 @@ def make_functor(spec, lat: ResiduatedLattice) -> Functor:
         raise InputError(f"unknown functor {spec!r}")
     if isinstance(spec, dict) and set(spec) == {"distribution"}:
         try:
-            return Distribution(lat, int(spec["distribution"]["q"]))
+            return Distribution(lat, as_int(spec["distribution"]["q"], "distribution q"))
         except (KeyError, TypeError, ValueError):
             raise InputError('distribution functor config must be {"distribution": {"q": N}}') from None
     raise InputError(f"bad functor config {spec!r}")

@@ -88,3 +88,10 @@ class BudgetError(Exception):
 
 class InputError(Exception):
     """Malformed file, config, or argument."""
+
+
+def as_int(value, what: str = "value") -> int:
+    """value itself when it is an int and not a bool; otherwise an InputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value

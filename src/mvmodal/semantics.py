@@ -3,16 +3,13 @@
 ``tabulate`` evaluates constants and connectives column-wise from the
 session's tables, given the columns of the propositions and modal nodes. Its
 callers differ only in where those leaf columns come from: the model
-evaluator (over a model's states), the stage walk ``stage_columns`` (over the
-ids of a stage, level by level; behind ``eval_step``, ``step_consequence``,
-``check_stage_coherence`` and the proof kit's soundness sweep and realizer
-catalog), the realized-type deciders and the surrogate oracle.
-``StepEvaluator`` reads the same semantics pointwise and lazily on decoded
-stage elements, for the two callers that cannot take whole columns: the
-witness search, which stops at the first witness, and the truth-lemma
-checker, whose model images can lie in stages far beyond any enumeration
-budget. Their agreement along the approximation tower is the content of the
-truth-lemma checker.
+evaluator (over a model's states), the level walk ``stage_columns`` (over the
+ids of a stage, behind ``eval_step``, ``step_consequence``,
+``check_stage_coherence`` and the proof kit, or over a model's hash-consed
+stage images ``ModelImages``, behind ``check_truth_lemma`` and ``sigma_k``),
+the realized-type deciders and the surrogate oracle. ``StepEvaluator`` reads
+the same semantics pointwise on decoded stage elements for the witness search,
+which stops at the first witness.
 """
 from __future__ import annotations
 
@@ -25,7 +22,7 @@ from typing import Callable, Sequence
 
 from .algebra import FuzzySubset
 from .functors import push_delta
-from .report import BudgetError, InputError, ValidationReport
+from .report import BudgetError, InputError, ValidationReport, as_int
 from .session import Session
 from .syntax import Bin, Const, Formula, Modal, Prop, rank
 
@@ -44,6 +41,7 @@ __all__ = [
     "eval_step",
     "step_consequence",
     "sigma_states",
+    "ModelImages",
     "sigma_k",
     "check_truth_lemma",
     "check_lemma1",
@@ -70,16 +68,6 @@ class TModel:
         return session.valuations.encode(self.valuation[s])
 
 
-def _values_in_range(session: Session, vals, what: str) -> tuple[int, ...]:
-    try:
-        out = tuple(int(v) for v in vals)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what}: {exc}") from None
-    if any(not 0 <= v < session.lat.size for v in out):
-        raise InputError(f"{what}: carrier index outside 0..{session.lat.size - 1}")
-    return out
-
-
 def load_model(session: Session, source) -> TModel:
     """states/valuation/sigma JSON layout; sigma entries are functor-shaped
     (state-id lists, value rows, tables over Hom(S,A) ids, count vectors)."""
@@ -89,7 +77,7 @@ def load_model(session: Session, source) -> TModel:
     else:
         data = source
     try:
-        n = int(data["states"])
+        n = as_int(data["states"], "states")
         valuation_rows = data["valuation"]
         sigma_rows = data["sigma"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -104,7 +92,9 @@ def load_model(session: Session, source) -> TModel:
     for s, row in enumerate(valuation_rows):
         if not isinstance(row, list) or len(row) != len(session.propositions):
             raise InputError(f"valuation[{s}] must list {len(session.propositions)} values")
-        valuation.append(_values_in_range(session, row, f"valuation[{s}]"))
+        valuation.append(tuple(as_int(v, f"valuation[{s}]: value") for v in row))
+        if any(not 0 <= v < session.lat.size for v in valuation[s]):
+            raise InputError(f"valuation[{s}]: carrier index outside 0..{session.lat.size - 1}")
     sigma = []
     for s, entry in enumerate(sigma_rows):
         if not isinstance(entry, list):
@@ -299,6 +289,11 @@ class StageTower:
         reads = [a.__getitem__ for a in args]
         return [lf.value_at(d, reads) for d in self._forms[k]] * self.s.valuations.size
 
+    def prop_column(self, k: int, name: str) -> list[int]:
+        """Column over stage k of proposition name; id t has valuation t // tsize(k-1)."""
+        i, reps = self.s.propositions.index(name), self.size(k) // self.s.valuations.size
+        return [self.s.valuations.value(t // reps, i) for t in range(self.size(k))]
+
     def describe(self, k: int, t: int) -> str:
         key = (k, t)
         if key not in self._describe:
@@ -419,7 +414,8 @@ class StageTower:
 
 class StepEvaluator:
     """Stage-indexed semantics on decoded stage elements, evaluated lazily
-    and memoised per (formula, level, element)."""
+    and memoised per (formula, level, element). Its one library caller is the
+    witness search decision._witness; the truth lemma walks ModelImages."""
 
     def __init__(self, session: Session):
         self.s = session
@@ -445,35 +441,28 @@ class StepEvaluator:
         return out
 
 
-def stage_columns(session: Session, tower: StageTower, roots: Sequence[Formula], n: int,
+def stage_columns(session: Session, tower: StageTower | ModelImages, roots: Sequence[Formula], n: int,
                   prop: Callable[[str, int], Sequence[int]] | None = None
                   ) -> dict[Formula, tuple[int, ...]]:
-    """Value columns over the ids of stage n of roots and their local nodes,
-    built bottom up along level_plan(roots). At level k a proposition reads
-    the valuation t // tsize(k-1) of id t (t itself at level 0), a modal node
-    lifts the level-(k-1) columns of its arguments, and tabulate does the
-    rest. prop(name, k), when given, is the column of a proposition at level k
-    instead of its valuation column."""
+    """Value columns of roots and their local nodes over the level-n ids of
+    tower (stage elements of a StageTower, or a model's distinct ModelImages),
+    built bottom up along level_plan(roots). At level k a proposition's column
+    is prop(name, k) when given, else tower.prop_column(k, name), a modal node
+    lifts the level-(k-1) columns of its arguments, and tabulate does the rest."""
     plan = level_plan(roots)
     bottom = n - len(plan) + 1
     if bottom < 0:
         raise InputError(f"formula has rank {len(plan) - 1} > stage {n}")
-    vals = session.valuations
-    pidx = {p: i for i, p in enumerate(session.propositions)}
     col: dict[Formula, tuple[int, ...]] = {}
     for k, (level_roots, _, _) in enumerate(reversed(plan), start=bottom):
         below, col = col, {}
-        size = tower.size(k)
 
         def leaf(f: Formula) -> Sequence[int]:
             if not isinstance(f, Prop):
                 return tower.lift(k, f.name, [below[a] for a in f.args])
-            if prop is not None:
-                return prop(f.name, k)
-            i, reps = pidx[f.name], size // vals.size
-            return [vals.value(t // reps, i) for t in range(size)]
+            return tower.prop_column(k, f.name) if prop is None else prop(f.name, k)
 
-        tabulate(session, level_roots, size, leaf, col)
+        tabulate(session, level_roots, tower.size(k), leaf, col)
     return col
 
 
@@ -511,10 +500,49 @@ def sigma_states(session: Session, model: TModel, k: int) -> list[tuple]:
     return out
 
 
+class ModelImages:
+    """A model's images in stages 0..n, hash-consed: ids[k][s] is the id of
+    state s's stage-k image, forms[k][i] the (nu, form) of image i over level-(k-1)
+    image ids. Ids are equal exactly when the nested images of sigma_states are."""
+
+    def __init__(self, session: Session, model: TModel, n: int):
+        self.s = session
+        nus = [model.nu(session, s) for s in range(model.n_states)]
+        keys: list[tuple] = [(nu, None) for nu in nus]
+        self.ids: list[list[int]] = []
+        self.forms: list[list[tuple]] = []
+        for k in range(n + 1):
+            if k:
+                read = self.ids[-1].__getitem__
+                keys = [(nu, push_delta(session.lat, d, read)) for nu, d in zip(nus, model.sigma)]
+            index: dict[tuple, int] = {}
+            self.ids.append([index.setdefault(key, len(index)) for key in keys])
+            self.forms.append(list(index))
+
+    def size(self, k: int) -> int:
+        return len(self.forms[k])
+
+    def prop_column(self, k: int, name: str) -> list[int]:
+        i = self.s.propositions.index(name)
+        return [self.s.valuations.value(nu, i) for nu, _ in self.forms[k]]
+
+    def lift(self, k: int, name: str, args: Sequence[Sequence[int]]) -> list[int]:
+        lf, reads = self.s.registry.get(name), [a.__getitem__ for a in args]
+        return [lf.value_at(form, reads) for _, form in self.forms[k]]
+
+
 def sigma_k(session: Session, model: TModel, k: int, tower: StageTower | None = None) -> list[int]:
-    """Stage-k approximation map as ids (stage k must be encodable)."""
-    tower = tower or StageTower(session)
-    return [tower.encode_full(k, e) for e in sigma_states(session, model, k)]
+    """Stage-k approximation map as ids (stage k must be encodable), one
+    encode per distinct image."""
+    tower, F, images = tower or StageTower(session), session.functor, ModelImages(session, model, k)
+    for j in range(k - 1, -1, -1):  # refuse in encode_full's order
+        tower._guard_encode(j)
+    stage = [nu for nu, _ in images.forms[0]]
+    for j in range(1, k + 1):
+        m, step, read = tower.size(j - 1), tower.tsize(j - 1), stage.__getitem__
+        stage = [nu * step + F.encode(m, push_delta(session.lat, form, read))
+                 for nu, form in images.forms[j]]
+    return [stage[i] for i in images.ids[k]]
 
 
 # -- meta-theoretic checkers -----------------------------------------------------------
@@ -527,17 +555,13 @@ def check_truth_lemma(session: Session, model: TModel, phi: Formula) -> Validati
     n = rank(phi)
     report = ValidationReport(subject=f"truth lemma at rank {n}")
     model_vals = eval_model(session, model, phi)
-    ev = StepEvaluator(session)
-    images = sigma_states(session, model, n)
-    for s in range(model.n_states):
-        step_val = ev.value(phi, n, images[s])
+    images = ModelImages(session, model, n)
+    step = stage_columns(session, images, [phi], n)[phi]
+    for s, i in enumerate(images.ids[n]):
         report.checked += 1
-        if step_val != model_vals[s]:
-            report.fail(
-                "truth-lemma",
-                (s,),
-                f"model value {session.lat.label(model_vals[s])} != stage value {session.lat.label(step_val)}",
-            )
+        if step[i] != model_vals[s]:
+            report.fail("truth-lemma", (s,), f"model value {session.lat.label(model_vals[s])} "
+                        f"!= stage value {session.lat.label(step[i])}")
     return report
 
 

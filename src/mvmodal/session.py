@@ -12,7 +12,7 @@ from .algebra import ResiduatedLattice, builtin_lattice, load_algebra
 from .functors import Functor, ValuationSet, make_functor
 from .lifting import LiftingRegistry, standard_liftings
 from .parsing import parse_formula
-from .report import InputError
+from .report import InputError, as_int
 from .syntax import BIN_OPS, Const, Formula, Modal, Prop, pretty, subformulas
 
 __all__ = ["Session", "algebra_from_spec"]
@@ -113,9 +113,8 @@ class Session:
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad threshold {data.get('threshold')!r}") from None
         for key in ("budget", "iota0"):
-            value = data.get(key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise InputError(f"{key} must be an integer, got {value!r}")
+            if data.get(key) is not None:
+                as_int(data[key], key)
         props = data.get("propositions", ())
         if not isinstance(props, (list, tuple)) or not all(isinstance(p, str) for p in props):
             raise InputError(f"propositions must be a list of names, got {props!r}")

@@ -301,6 +301,34 @@ def test_mistyped_model_is_input_error(capsys, tmp_path, functor, change):
     assert json.loads(out)["error"]["kind"] == "InputError"
 
 
+@pytest.mark.parametrize("functor,change,where", [
+    ("powerset", {"states": 2.5}, "states"), ("powerset", {"states": "2"}, "states"),
+    ("powerset", {"valuation": [[1.9, 0], [0, 1]]}, "valuation[0]: "),
+    ("powerset", {"valuation": [[True, 0], [0, 1]]}, "valuation[0]: "),
+    ("powerset", {"sigma": [[True], []]}, "sigma[0]: "),
+    ("fuzzyhom", {"sigma": [[1.0, 0], [0, 0]]}, "sigma[0]: "),
+    ("neighborhood", {"sigma": [[0, 0, 0, 0], [0, 1.5, 0, 0]]}, "sigma[1]: "),
+    ("selection", {"sigma": [[0, 1, 2, True], [0, 0, 0, 0]]}, "sigma[0]: "),
+    ("distribution:2", {"sigma": [[True, True], [0, 2]]}, "sigma[0]: "),
+])
+@pytest.mark.parametrize("argv", [["eval"], ["check", "truth-lemma"]])
+def test_non_integer_model_values_are_input_errors(capsys, tmp_path, functor, change, where, argv):
+    cfg = write_json(tmp_path, "cfg.json", {"functor": functor, "propositions": ["p", "q"]})
+    model = write_json(tmp_path, "model.json", {**MODEL, **change})
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", *argv, "--model", model, "box(p)")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "InputError" and error["message"].startswith(where)
+    assert "must be an integer" in error["message"]
+
+
+def test_non_integer_distribution_grid_is_input_error(capsys, tmp_path):
+    cfg = write_json(tmp_path, "cfg.json", {"functor": {"distribution": {"q": 2.5}}})
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", "valid", "c1")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "InputError"
+
+
 def test_unexpected_exception_is_exit_three(capsys, monkeypatch):
     from mvmodal import cli
 

@@ -7,6 +7,7 @@ from mvmodal import (BudgetError, InputError, StageTower, StepEvaluator,
                      eval_model, eval_step, lemma2_model, load_model,
                      model_consequence, model_to_dict, sigma_k, sigma_states,
                      step_consequence)
+from mvmodal.semantics import ModelImages, stage_columns
 from mvmodal.syntax import rank
 from conftest import make_session, random_formula, random_model
 
@@ -199,6 +200,76 @@ def test_sigma_states_shapes(boolean_ps1):
     assert tower.describe(1, ids[1]) == "<p=0; {}>"
 
 
+def _assert_images_match_nested_oracle(s, m, formulas, top=3):
+    """ModelImages against sigma_states and StepEvaluator, which share no code
+    with it: at every level k <= top, image ids are equal exactly when the nested
+    images are, and each state's stage value is the pointwise one."""
+    images, ev = ModelImages(s, m, top), StepEvaluator(s)
+    nested = [sigma_states(s, m, k) for k in range(top + 1)]
+    for k in range(top + 1):
+        ids = images.ids[k]
+        assert sorted(set(ids)) == list(range(images.size(k)))
+        assert len(set(zip(ids, nested[k]))) == len(set(ids)) == len(set(nested[k])), k
+    for phi in formulas:
+        for n in range(rank(phi), top + 1):
+            col = stage_columns(s, images, [phi], n)[phi]
+            want = [ev.value(phi, n, e) for e in nested[n]]
+            assert [col[i] for i in images.ids[n]] == want, (s.pretty(phi), n)
+
+
+@pytest.mark.parametrize("functor", FUNCTORS)
+@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
+def test_model_images_match_nested_oracle(algebra, functor):
+    s = make_session(algebra=algebra, functor=functor, propositions=("p", "q"))
+    rng = random.Random(f"images:{algebra}:{functor}")
+    for _ in range(6):
+        m = random_model(s, rng.randrange(1, 5), rng)
+        _assert_images_match_nested_oracle(s, m, [random_formula(s, rng, max_rank=3, size=8)
+                                                  for _ in range(8)])
+
+
+def test_model_images_match_nested_oracle_on_a_chain(boolean_ps1):
+    """Image ids split differently at each level, so a modal node that read
+    its arguments' columns at the wrong level would see other states."""
+    s = boolean_ps1
+    m = load_model(s, {"states": 6, "valuation": [[1], [0], [1], [0], [1], [1]],
+                       "sigma": [[1], [2], [3], [4], [5], []]})
+    formulas = [s.parse(f) for f in ("p -> box(p)", "diamond(p & box(p))",
+                                     "box(diamond(p) | p) & p", "diamond(diamond(diamond(p)))")]
+    _assert_images_match_nested_oracle(s, m, formulas)
+
+
+def test_model_images_match_nested_oracle_dense_goedel4():
+    s = make_session(algebra="goedel:4", functor="fuzzyhom", propositions=("p",))
+    rng = random.Random("images:dense")
+    m = load_model(s, {"states": 40, "valuation": [[rng.randrange(4)] for _ in range(40)],
+                       "sigma": [[rng.randrange(4) for _ in range(40)] for _ in range(40)]})
+    formulas = [s.parse(f) for f in ("box(diamond(box(p)))", "diamond(p) -> box(p & c2)",
+                                     "p | box(box(p) & diamond(c1))", "p -> diamond(p & box(p))")]
+    _assert_images_match_nested_oracle(s, m, formulas)
+
+
+@pytest.mark.parametrize("functor", FUNCTORS)
+def test_sigma_k_matches_nested_encoding(functor):
+    s = make_session(functor=functor, propositions=("p",))
+    rng = random.Random(f"sigma_k:{functor}")
+    encoded = set()
+    for _ in range(5):
+        m = random_model(s, rng.randrange(1, 4), rng)
+        for k in range(4):
+            tower = StageTower(s)
+            try:
+                want = [tower.encode_full(k, e) for e in sigma_states(s, m, k)]
+            except BudgetError as exc:
+                with pytest.raises(BudgetError) as err:
+                    sigma_k(s, m, k, StageTower(s))
+                assert str(err.value) == str(exc)
+                continue
+            assert sigma_k(s, m, k, StageTower(s)) == want, k
+            encoded.add(k)
+    assert {0, 1} <= encoded
+
+
 @pytest.mark.parametrize("functor", FUNCTORS)
 def test_truth_lemma_randomized(functor):
     rng = random.Random(hash(functor) % 10**6)
@@ -215,16 +286,16 @@ def test_truth_lemma_detects_broken_step_semantics(boolean_ps1, monkeypatch):
     m = load_model(s, {"states": 1, "valuation": [[1]], "sigma": [[]]})
     import mvmodal.semantics as sem
 
-    real = StepEvaluator.value
+    class WrongImage(sem.ModelImages):
+        """State 0 reads the level-1 image <p=1; {<p=0>}> instead of <p=1; {}>."""
 
-    def corrupted(self, phi, k, elem):
-        out = real(self, phi, k, elem)
-        from mvmodal.syntax import Modal
-        if isinstance(phi, Modal) and k == 1:
-            return self.s.lat.bot
-        return out
+        def __init__(self, session, model, n):
+            super().__init__(session, model, n)
+            self.forms[0].append((0, None))
+            self.forms[1].append((1, frozenset({len(self.forms[0]) - 1})))
+            self.ids[1][0] = len(self.forms[1]) - 1
 
-    monkeypatch.setattr(StepEvaluator, "value", corrupted)
+    monkeypatch.setattr(sem, "ModelImages", WrongImage)
     report = check_truth_lemma(s, m, s.parse("box(p)"))
     assert not report.ok
     assert report.violations[0].witness == (0,)
