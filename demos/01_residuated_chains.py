@@ -5,8 +5,6 @@ Finite truth-value chains and their laws
 Builds the standard chains, prints their operation tables, and shows the
 law checker pinpointing an injected fault.
 """
-import numpy as np
-
 from mvmodal import builtin_lattice, load_algebra, validate_lattice
 
 # the three builtin families: boolean is the 2-chain, the others take a size
@@ -16,10 +14,13 @@ for spec in [("boolean", 2), ("lukasiewicz", 3), ("goedel", 4)]:
 
 # Lukasiewicz-3 fuses by max(0, a+b-1) on the underlying fractions
 l3 = builtin_lattice("lukasiewicz", 3)
+# tables are tuples of rows of carrier indices: table[a][b]
 print("\nfusion table (rows/cols in carrier order):")
-print(np.array(l3.mono))
+for row in l3.mono:
+    print(" ".join(map(str, row)))
 print("residuum table:")
-print(np.array(l3.impl))
+for row in l3.impl:
+    print(" ".join(map(str, row)))
 
 # every report is exhaustive: all lattice, monoid, and residuation laws
 report = validate_lattice(l3)

@@ -1,8 +1,8 @@
 """Finite commutative integral residuated lattices over canonical index carriers.
 
-Carrier elements are the indices 0..size-1. All four operation tables are dense
-integer matrices; the lattice order is derived from the meet table
-(a <= b iff meet(a, b) == a, equivalently join(a, b) == b).
+Carrier elements are the indices 0..size-1. All four operation tables are
+tuples of tuples of ints, read as ``table[a][b]``; the lattice order is derived
+from the meet table (a <= b iff meet(a, b) == a, equivalently join(a, b) == b).
 """
 from __future__ import annotations
 
@@ -10,12 +10,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .report import InputError, ValidationReport
+from .report import InputError, ValidationReport, as_int
 
 __all__ = [
     "ResiduatedLattice",
@@ -49,6 +48,9 @@ def label_for_fraction(fr: Fraction) -> str:
     return f"{text[:-digits]}.{text[-digits:]}" if digits else text
 
 
+Table = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class ResiduatedLattice:
     """Operation tables plus the designated bounds.
@@ -60,23 +62,24 @@ class ResiduatedLattice:
 
     name: str
     size: int
-    join: np.ndarray
-    meet: np.ndarray
-    mono: np.ndarray
-    impl: np.ndarray
+    join: Table
+    meet: Table
+    mono: Table
+    impl: Table
     bot: int
     top: int
     labels: tuple[str, ...] = ()
     values: tuple[Fraction, ...] | None = None
-    _leq: np.ndarray = field(init=False, repr=False, compare=False)
+    _leq: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        k = self.size
         for attr in ("join", "meet", "mono", "impl"):
-            table = np.asarray(getattr(self, attr), dtype=np.int64)
-            if table.shape != (self.size, self.size):
-                raise InputError(f"{attr} table must be {self.size}x{self.size}, got {table.shape}")
-            if table.min() < 0 or table.max() >= self.size:
-                raise InputError(f"{attr} table has entries outside 0..{self.size - 1}")
+            table = tuple(tuple(row) for row in getattr(self, attr))
+            if len(table) != k or any(len(row) != k for row in table):
+                raise InputError(f"{attr} table must be {k}x{k}")
+            if not all(type(v) is int and 0 <= v < k for row in table for v in row):
+                raise InputError(f"{attr} table must hold integers in 0..{k - 1}")
             object.__setattr__(self, attr, table)
         if not (0 <= self.bot < self.size and 0 <= self.top < self.size):
             raise InputError("bot/top outside carrier")
@@ -89,33 +92,34 @@ class ResiduatedLattice:
             raise InputError("label list length != size")
         if self.values is not None and len(self.values) != self.size:
             raise InputError("values list length != size")
-        object.__setattr__(self, "_leq", self.meet == np.arange(self.size)[:, None])
+        leq = tuple(tuple(m == a for m in row) for a, row in enumerate(self.meet))
+        object.__setattr__(self, "_leq", leq)
 
     # -- order ---------------------------------------------------------------
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._leq[a, b])
+        return self._leq[a][b]
 
     def is_chain(self) -> bool:
-        return bool((self._leq | self._leq.T).all())
+        return all(self._leq[a][b] or self._leq[b][a] for a, b in product(range(self.size), repeat=2))
 
     def meet_many(self, xs: Iterable[int]) -> int:
-        out = self.top
+        out, meet = self.top, self.meet
         for x in xs:
-            out = int(self.meet[out, x])
+            out = meet[out][x]
         return out
 
     def join_many(self, xs: Iterable[int]) -> int:
-        out = self.bot
+        out, join = self.bot, self.join
         for x in xs:
-            out = int(self.join[out, x])
+            out = join[out][x]
         return out
 
     def fuse(self, a: int, b: int) -> int:
-        return int(self.mono[a, b])
+        return self.mono[a][b]
 
     def residuum(self, a: int, b: int) -> int:
-        return int(self.impl[a, b])
+        return self.impl[a][b]
 
     # -- naming --------------------------------------------------------------
 
@@ -140,10 +144,10 @@ class ResiduatedLattice:
         out = {
             "name": self.name,
             "size": self.size,
-            "join": self.join.tolist(),
-            "meet": self.meet.tolist(),
-            "mono": self.mono.tolist(),
-            "impl": self.impl.tolist(),
+            "join": [list(r) for r in self.join],
+            "meet": [list(r) for r in self.meet],
+            "mono": [list(r) for r in self.mono],
+            "impl": [list(r) for r in self.impl],
             "bot": self.bot,
             "top": self.top,
             "labels": list(self.labels),
@@ -168,15 +172,15 @@ def builtin_lattice(kind: str, k: int = 2) -> ResiduatedLattice:
         name = f"{kind}-{k}"
     else:
         raise InputError(f"unknown builtin algebra kind {kind!r}")
-    rng = np.arange(k)
-    join = np.maximum.outer(rng, rng)
-    meet = np.minimum.outer(rng, rng)
+    rng = range(k)
+    join = tuple(tuple(max(a, b) for b in rng) for a in rng)
+    meet = tuple(tuple(min(a, b) for b in rng) for a in rng)
     if kind == "goedel":
-        mono = meet.copy()
-        impl = np.where(rng[:, None] <= rng[None, :], k - 1, rng[None, :] * np.ones((k, 1), dtype=int))
+        mono = meet
+        impl = tuple(tuple(k - 1 if a <= b else b for b in rng) for a in rng)
     else:
-        mono = np.maximum(rng[:, None] + rng[None, :] - (k - 1), 0)
-        impl = np.minimum(k - 1 - rng[:, None] + rng[None, :], k - 1)
+        mono = tuple(tuple(max(a + b - (k - 1), 0) for b in rng) for a in rng)
+        impl = tuple(tuple(min(k - 1 - a + b, k - 1) for b in rng) for a in rng)
     values = tuple(Fraction(i, k - 1) for i in range(k))
     return ResiduatedLattice(name, k, join, meet, mono, impl, 0, k - 1, values=values)
 
@@ -193,8 +197,13 @@ def load_algebra(source: str | Path | dict) -> ResiduatedLattice:
     missing = [key for key in ("name", "size", "join", "meet", "mono", "impl", "bot", "top") if key not in data]
     if missing:
         raise InputError(f"algebra file missing keys: {', '.join(missing)}")
+    labels = data.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise InputError(f"labels must be a list of strings, got {labels!r}")
     values = None
     if "values" in data:
+        if not isinstance(data["values"], list):
+            raise InputError(f"values must be a list of numerals, got {data['values']!r}")
         try:
             values = tuple(Fraction(str(v)) for v in data["values"])
         except (ValueError, ZeroDivisionError) as exc:
@@ -202,14 +211,14 @@ def load_algebra(source: str | Path | dict) -> ResiduatedLattice:
     try:
         return ResiduatedLattice(
             name=str(data["name"]),
-            size=int(data["size"]),
-            join=np.asarray(data["join"]),
-            meet=np.asarray(data["meet"]),
-            mono=np.asarray(data["mono"]),
-            impl=np.asarray(data["impl"]),
-            bot=int(data["bot"]),
-            top=int(data["top"]),
-            labels=tuple(data.get("labels", ())),
+            size=as_int(data["size"], "size"),
+            join=data["join"],
+            meet=data["meet"],
+            mono=data["mono"],
+            impl=data["impl"],
+            bot=as_int(data["bot"], "bot"),
+            top=as_int(data["top"], "top"),
+            labels=tuple(labels),
             values=values,
         )
     except (TypeError, ValueError) as exc:
@@ -219,43 +228,36 @@ def load_algebra(source: str | Path | dict) -> ResiduatedLattice:
 # -- validation ---------------------------------------------------------------
 
 
-def _first_bad(report: ValidationReport, law: str, mismatch: np.ndarray, detail: str = "") -> None:
-    """Record the lexicographically first differing index tuple, if any."""
-    bad = np.argwhere(mismatch)
-    if len(bad):
-        report.fail(law, tuple(int(i) for i in bad[0]), detail)
-
-
 def validate_lattice(lat: ResiduatedLattice) -> ValidationReport:
     """Exhaustively check every bounded-residuated-lattice law; list each
-    violated law with its first witness tuple (carrier indices)."""
+    violated law with its first witness tuple (carrier indices, row-major)."""
     report = ValidationReport(subject=f"algebra {lat.name}")
-    k = lat.size
-    J, M, T, I = lat.join, lat.meet, lat.mono, lat.impl
-    idx = np.arange(k)
-    leq = lat._leq
-
-    _first_bad(report, "join-commutative", J != J.T)
-    _first_bad(report, "meet-commutative", M != M.T)
-    _first_bad(report, "mono-commutative", T != T.T)
-    _first_bad(report, "join-idempotent", J[idx, idx] != idx)
-    _first_bad(report, "meet-idempotent", M[idx, idx] != idx)
-    # X[X] composes tables: X[X][a,b,c] == X[X[a,b],c]
-    _first_bad(report, "join-associative", J[J] != J[:, J])
-    _first_bad(report, "meet-associative", M[M] != M[:, M])
-    _first_bad(report, "mono-associative", T[T] != T[:, T])
-    _first_bad(report, "absorption-join", J[idx[:, None], M] != idx[:, None] * np.ones((1, k), dtype=int))
-    _first_bad(report, "absorption-meet", M[idx[:, None], J] != idx[:, None] * np.ones((1, k), dtype=int))
-    _first_bad(report, "order-consistency", (M == idx[:, None]) != (J == idx[None, :]))
-    _first_bad(report, "bot-join-identity", J[:, lat.bot] != idx)
-    _first_bad(report, "top-meet-identity", M[:, lat.top] != idx)
-    _first_bad(report, "bot-least", M[:, lat.bot] != lat.bot)
-    _first_bad(report, "integrality", J[:, lat.top] != lat.top)
-    _first_bad(report, "mono-unit-top", T[:, lat.top] != idx)
-    # residuation: mono(a,b) <= c  iff  b <= impl(a,c)
-    lhs = leq[T]  # [a,b,c] -> leq(mono(a,b), c)
-    rhs = leq[idx[None, :, None], I[:, None, :]]  # [a,b,c] -> leq(b, impl(a,c))
-    _first_bad(report, "residuation", lhs != rhs, "mono(a,b)<=c iff b<=impl(a,c) fails at (a,b,c)")
+    k, bot, top = lat.size, lat.bot, lat.top
+    J, M, T, I, leq = lat.join, lat.meet, lat.mono, lat.impl, lat._leq
+    laws = (  # law, arity, predicate that holds at a violating tuple[, detail]
+        ("join-commutative", 2, lambda a, b: J[a][b] != J[b][a]),
+        ("meet-commutative", 2, lambda a, b: M[a][b] != M[b][a]),
+        ("mono-commutative", 2, lambda a, b: T[a][b] != T[b][a]),
+        ("join-idempotent", 1, lambda a: J[a][a] != a),
+        ("meet-idempotent", 1, lambda a: M[a][a] != a),
+        ("join-associative", 3, lambda a, b, c: J[J[a][b]][c] != J[a][J[b][c]]),
+        ("meet-associative", 3, lambda a, b, c: M[M[a][b]][c] != M[a][M[b][c]]),
+        ("mono-associative", 3, lambda a, b, c: T[T[a][b]][c] != T[a][T[b][c]]),
+        ("absorption-join", 2, lambda a, b: J[a][M[a][b]] != a),
+        ("absorption-meet", 2, lambda a, b: M[a][J[a][b]] != a),
+        ("order-consistency", 2, lambda a, b: (M[a][b] == a) != (J[a][b] == b)),
+        ("bot-join-identity", 1, lambda a: J[a][bot] != a),
+        ("top-meet-identity", 1, lambda a: M[a][top] != a),
+        ("bot-least", 1, lambda a: M[a][bot] != bot),
+        ("integrality", 1, lambda a: J[a][top] != top),
+        ("mono-unit-top", 1, lambda a: T[a][top] != a),
+        ("residuation", 3, lambda a, b, c: leq[T[a][b]][c] != leq[b][I[a][c]],
+         "mono(a,b)<=c iff b<=impl(a,c) fails at (a,b,c)"),
+    )
+    for law, arity, bad, *detail in laws:
+        witness = next((w for w in product(range(k), repeat=arity) if bad(*w)), None)
+        if witness is not None:
+            report.fail(law, witness, *detail)
 
     report.checked = 3 * k**3 + 12 * k * k + 2 * k
     return report

@@ -100,7 +100,7 @@ def push_delta(lat: ResiduatedLattice, delta, f: Callable):
         acc: dict = {}
         for e, v in delta[1]:
             k = f(e)
-            acc[k] = int(lat.join[acc[k], v]) if k in acc else v
+            acc[k] = lat.join[acc[k]][v] if k in acc else v
         return ("fz", _canon_pairs(acc))
     if tag == "nb":
         _, base, mapping = delta
@@ -394,7 +394,7 @@ class Selection(Functor):
         acc: dict = {}
         for x, y in enumerate(mapping):
             v = row[x]
-            acc[y] = int(self.lat.join[acc[y], v]) if y in acc else v
+            acc[y] = self.lat.join[acc[y]][v] if y in acc else v
         return acc
 
     def encode(self, n: int, delta) -> int:

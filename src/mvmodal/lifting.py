@@ -54,11 +54,11 @@ def _diamond_powerset(lat, F, delta, args):
 
 def _box_fuzzyhom(lat, F, delta, args):
     # meet over the whole base of delta(y) -> f(y); absent points give top
-    return lat.meet_many(int(lat.impl[v, args[0](e)]) for e, v in delta[1])
+    return lat.meet_many(lat.impl[v][args[0](e)] for e, v in delta[1])
 
 
 def _diamond_fuzzyhom(lat, F, delta, args):
-    return lat.join_many(int(lat.mono[v, args[0](e)]) for e, v in delta[1])
+    return lat.join_many(lat.mono[v][args[0](e)] for e, v in delta[1])
 
 
 def _box_neighborhood(lat, F, delta, args):
@@ -73,7 +73,7 @@ def _cond_selection(lat, F: Selection, delta, args):
     # s(f) included in g, inclusion graded by meet of pointwise residua
     mapping = delta[3]
     row = F.row_at(delta, tuple(args[0](e) for e in mapping))
-    return lat.meet_many(int(lat.impl[v, args[1](y)]) for y, v in row.items())
+    return lat.meet_many(lat.impl[v][args[1](y)] for y, v in row.items())
 
 
 def expected_truth(lat: ResiduatedLattice, delta, argfn: Callable) -> Fraction:
@@ -108,7 +108,7 @@ def _make_over(threshold: Fraction):
                 if lat.leq(alpha, args[0](e)):
                     mass += Fraction(c, q)
             if mass > threshold:
-                out = int(lat.join[out, alpha])
+                out = lat.join[out][alpha]
         return out
 
     return _over

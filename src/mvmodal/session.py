@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import ResiduatedLattice, builtin_lattice, load_algebra
+from .algebra import ResiduatedLattice, Table, builtin_lattice, load_algebra
 from .functors import Functor, ValuationSet, make_functor
 from .lifting import LiftingRegistry, standard_liftings
 from .parsing import parse_formula
@@ -50,7 +50,7 @@ class Session:
     cache_dir: Path | None = None
     registry: LiftingRegistry = field(init=False)
     valuations: ValuationSet = field(init=False)
-    tables: dict[str, list[list[int]]] = field(init=False)  # connective -> value table
+    tables: dict[str, Table] = field(init=False)  # connective -> lattice table
 
     def __post_init__(self):
         self.propositions = tuple(self.propositions)
@@ -64,7 +64,7 @@ class Session:
             if p in self.registry.liftings:
                 raise InputError(f"proposition name {p!r} collides with a modality")
         self.valuations = ValuationSet(self.propositions, self.lat.size)
-        self.tables = {op: getattr(self.lat, name).tolist() for op, name in zip(BIN_OPS, _LATTICE_OPS)}
+        self.tables = {op: getattr(self.lat, name) for op, name in zip(BIN_OPS, _LATTICE_OPS)}
         if self.budget < 1:
             raise InputError("budget must be positive")
         env_cache = os.environ.get("MVMODAL_CACHE")

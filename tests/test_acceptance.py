@@ -46,30 +46,30 @@ def _violates(lat, law: str, w: tuple) -> bool:
     J, M, T, I = lat.join, lat.meet, lat.mono, lat.impl
 
     def leq(x, y):
-        return int(M[x, y]) == int(x)
+        return int(M[x][y]) == int(x)
 
     two = {
-        "join-commutative": lambda a, b: J[a, b] == J[b, a],
-        "meet-commutative": lambda a, b: M[a, b] == M[b, a],
-        "mono-commutative": lambda a, b: T[a, b] == T[b, a],
-        "absorption-join": lambda a, b: J[a, M[a, b]] == a,
-        "absorption-meet": lambda a, b: M[a, J[a, b]] == a,
-        "order-consistency": lambda a, b: (M[a, b] == a) == (J[a, b] == b),
+        "join-commutative": lambda a, b: J[a][b] == J[b][a],
+        "meet-commutative": lambda a, b: M[a][b] == M[b][a],
+        "mono-commutative": lambda a, b: T[a][b] == T[b][a],
+        "absorption-join": lambda a, b: J[a][M[a][b]] == a,
+        "absorption-meet": lambda a, b: M[a][J[a][b]] == a,
+        "order-consistency": lambda a, b: (M[a][b] == a) == (J[a][b] == b),
     }
     one = {
-        "join-idempotent": lambda a: J[a, a] == a,
-        "meet-idempotent": lambda a: M[a, a] == a,
-        "bot-join-identity": lambda a: J[a, lat.bot] == a,
-        "top-meet-identity": lambda a: M[a, lat.top] == a,
-        "bot-least": lambda a: M[a, lat.bot] == lat.bot,
-        "integrality": lambda a: J[a, lat.top] == lat.top,
-        "mono-unit-top": lambda a: T[a, lat.top] == a,
+        "join-idempotent": lambda a: J[a][a] == a,
+        "meet-idempotent": lambda a: M[a][a] == a,
+        "bot-join-identity": lambda a: J[a][lat.bot] == a,
+        "top-meet-identity": lambda a: M[a][lat.top] == a,
+        "bot-least": lambda a: M[a][lat.bot] == lat.bot,
+        "integrality": lambda a: J[a][lat.top] == lat.top,
+        "mono-unit-top": lambda a: T[a][lat.top] == a,
     }
     three = {
-        "join-associative": lambda a, b, c: J[J[a, b], c] == J[a, J[b, c]],
-        "meet-associative": lambda a, b, c: M[M[a, b], c] == M[a, M[b, c]],
-        "mono-associative": lambda a, b, c: T[T[a, b], c] == T[a, T[b, c]],
-        "residuation": lambda a, b, c: leq(T[a, b], c) == leq(b, I[a, c]),
+        "join-associative": lambda a, b, c: J[J[a][b]][c] == J[a][J[b][c]],
+        "meet-associative": lambda a, b, c: M[M[a][b]][c] == M[a][M[b][c]],
+        "mono-associative": lambda a, b, c: T[T[a][b]][c] == T[a][T[b][c]],
+        "residuation": lambda a, b, c: leq(T[a][b], c) == leq(b, I[a][c]),
     }
     for table in (one, two, three):
         if law in table:

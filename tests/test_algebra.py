@@ -1,12 +1,15 @@
 import json
+import random
 from fractions import Fraction
+from itertools import product
 
-import numpy as np
 import pytest
 
 from mvmodal import (FuzzySubset, InputError, alpha_cut, builtin_lattice,
                      family_leq_alpha, load_algebra, validate_lattice)
 from mvmodal.algebra import label_for_fraction
+
+from test_acceptance import _violates
 
 
 def frozen_tables(kind, k):
@@ -34,10 +37,10 @@ def frozen_tables(kind, k):
 def test_builtin_chain_tables_match_fraction_oracle(kind, k):
     lat = builtin_lattice(kind, k)
     mono, impl = frozen_tables(kind, k)
-    assert lat.mono.tolist() == mono
-    assert lat.impl.tolist() == impl
-    assert lat.join.tolist() == [[max(a, b) for b in range(k)] for a in range(k)]
-    assert lat.meet.tolist() == [[min(a, b) for b in range(k)] for a in range(k)]
+    assert [list(r) for r in lat.mono] == mono
+    assert [list(r) for r in lat.impl] == impl
+    assert [list(r) for r in lat.join] == [[max(a, b) for b in range(k)] for a in range(k)]
+    assert [list(r) for r in lat.meet] == [[min(a, b) for b in range(k)] for a in range(k)]
 
 
 def test_lukasiewicz3_frozen_cells():
@@ -98,6 +101,55 @@ def test_corrupted_commutativity_detected():
                for v in report.violations)
 
 
+# validator law order with each law's arity
+LAWS = [("join-commutative", 2), ("meet-commutative", 2), ("mono-commutative", 2),
+        ("join-idempotent", 1), ("meet-idempotent", 1), ("join-associative", 3),
+        ("meet-associative", 3), ("mono-associative", 3), ("absorption-join", 2),
+        ("absorption-meet", 2), ("order-consistency", 2), ("bot-join-identity", 1),
+        ("top-meet-identity", 1), ("bot-least", 1), ("integrality", 1), ("mono-unit-top", 1),
+        ("residuation", 3)]
+BUILTINS = [("boolean", 2)] + [(kind, k) for kind in ("lukasiewicz", "goedel") for k in range(2, 7)]
+
+
+def brute_force_violations(lat):
+    """Each violated law with its first violating tuple in row-major order."""
+    out = []
+    for law, arity in LAWS:
+        first = next((w for w in product(range(lat.size), repeat=arity) if _violates(lat, law, w)), None)
+        if first is not None:
+            out.append((law, first))
+    return out
+
+
+@pytest.mark.parametrize("kind,k", BUILTINS)
+def test_validator_matches_brute_force_on_seeded_corruptions(kind, k):
+    rng = random.Random(f"corrupt-{kind}-{k}")
+    lat = builtin_lattice(kind, k)
+    assert brute_force_violations(lat) == []
+    for _ in range(40):
+        data = lat.to_dict()
+        for _ in range(rng.randint(1, 3)):
+            data[rng.choice(["join", "meet", "mono", "impl"])][rng.randrange(k)][rng.randrange(k)] = \
+                rng.randrange(k)
+        if rng.random() < 0.1:
+            data["bot"], data["top"] = rng.randrange(k), rng.randrange(k)
+        bad = load_algebra(data)
+        report = validate_lattice(bad)
+        assert [(v.law, v.witness) for v in report.violations] == brute_force_violations(bad)
+        assert report.ok == (not report.violations)
+        assert report.checked == 3 * k**3 + 12 * k * k + 2 * k
+
+
+@pytest.mark.parametrize("kind,k,fingerprint", [
+    ("boolean", 2, "8e18b76ddfec1bea"), ("lukasiewicz", 3, "3cb088f5f2e959a8"),
+    ("lukasiewicz", 4, "dfdaf2999c8f1234"), ("goedel", 3, "4c11b5979c993187"),
+    ("goedel", 4, "a8ba3fcc0f5070ae"),
+])
+def test_builtin_fingerprints_are_stable(kind, k, fingerprint):
+    # fingerprints name the disk-cache files, so caches written earlier stay valid
+    assert builtin_lattice(kind, k).fingerprint() == fingerprint
+
+
 def test_boolean_only_size_two():
     with pytest.raises(InputError):
         builtin_lattice("boolean", 3)
@@ -108,7 +160,7 @@ def test_load_algebra_roundtrip(tmp_path):
     path = tmp_path / "l4.json"
     path.write_text(json.dumps(lat.to_dict()))
     again = load_algebra(path)
-    assert np.array_equal(again.impl, lat.impl)
+    assert again.impl == lat.impl
     assert again.labels == lat.labels
     assert validate_lattice(again).ok
 

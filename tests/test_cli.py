@@ -110,6 +110,22 @@ def test_validate_algebra_corrupted(capsys, tmp_path):
     assert "violation: residuation" in out
 
 
+@pytest.mark.parametrize("change", [
+    {"size": 2.7}, {"top": True}, {"join": [[0, 1.9], [1, 1]]}, {"meet": [[0, True], [0, 1]]},
+    {"labels": [0, 1]}, {"labels": "ab"}, {"values": 5}, {"values": "01"},
+], ids=["float-size", "bool-top", "float-entry", "bool-entry", "int-labels", "string-labels",
+        "int-values", "string-values"])
+def test_mistyped_algebra_file_is_input_error(capsys, tmp_path, change):
+    path = write_json(tmp_path, "alg.json", {**builtin_lattice("boolean", 2).to_dict(), **change})
+    code, out, _ = invoke(capsys, "--json", "validate-algebra", path)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "InputError"
+    cfg = write_json(tmp_path, "cfg.json", {"algebra": path, "propositions": ["p"]})
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", "valid", "p | (p -> c0)")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "InputError"
+
+
 def test_check_truth_lemma(capsys, tmp_path):
     path = write_json(tmp_path, "model.json", MODEL)
     code, out, _ = invoke(capsys, "check", "truth-lemma", "--model", path, "box(p) | q")
