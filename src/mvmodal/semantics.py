@@ -347,7 +347,12 @@ class StageTower:
     # section / projection tables ----------------------------------------------
 
     def iota0_id(self) -> int:
-        base = self.s.functor.encode(self.size(0), self.s.functor.base_elem(self.size(0)))
+        F, m = self.s.functor, self.size(0)
+        if F.table_valued and self.s.lat.size ** m > self.s.budget:
+            # base_elem would build a table over all of Hom(stage 0, A)
+            raise BudgetError("stage-0 section choice (function table domain)",
+                              f"{self.s.lat.size}^{m}", self.s.budget)
+        base = F.encode(m, F.base_elem(m))
         if self.s.iota0 is None:
             return base
         if not 0 <= self.s.iota0 < self.tsize(0):
@@ -388,25 +393,6 @@ class StageTower:
 
             self._gamma[k] = self._cached_table(f"gamma{k}", self.size(k + 1), self.size(k), build)
         return self._gamma[k]
-
-    # decoded-level maps (no enumeration of the codomain stage) -----------------
-
-    def bang(self, elem: tuple) -> tuple:
-        return (elem[0], None)
-
-    def iota_dec(self, k: int) -> Callable[[tuple], tuple]:
-        if k == 0:
-            base = self.s.functor.decode(self.size(0), self.iota0_id())
-            base_dec = push_delta(self.s.lat, base, lambda e: (e, None))
-            return lambda elem: (elem[0], base_dec)
-        inner = self.iota_dec(k - 1)
-        return lambda elem: (elem[0], push_delta(self.s.lat, elem[1], inner))
-
-    def gamma_dec(self, k: int) -> Callable[[tuple], tuple]:
-        if k == 0:
-            return self.bang
-        inner = self.gamma_dec(k - 1)
-        return lambda elem: (elem[0], push_delta(self.s.lat, elem[1], inner))
 
 
 # -- step semantics ------------------------------------------------------------------
@@ -566,44 +552,47 @@ def check_truth_lemma(session: Session, model: TModel, phi: Formula) -> Validati
 
 
 def check_lemma1(session: Session, n: int, tower: StageTower | None = None) -> ValidationReport:
-    """Inductive tower sections agree with their closed form, the top section is
-    the identity, and the projection retracts the section. Exact, all elements."""
+    """Lemma 1 on every element of stage n, exactly: the inductive composites
+    I(k) = (id x T(I(k-1))) . iota_n agree with their closed form C(n, k), the
+    k-fold T-image of the terminal map; I(n) is the identity; gamma_n retracts
+    iota_n. Each map is an id table over stage n, so this checks the section
+    and projection tables in use (iota_table, gamma_table), cached ones included."""
     tower = tower or StageTower(session)
     report = ValidationReport(subject=f"tower sections at n={n}")
     size_n = tower.size(n)
-    iota_n = tower.iota_dec(n)
-    gamma_n = tower.gamma_dec(n)
+    tower.iota0_id()  # a bad section choice is an input error at every n
+    report.checked = (n + 3) * size_n
+    if n == 0:
+        return report  # every composite out of stage 0 is the identity
+    for j in range(n):  # refuse in the order encodes into stages 1..n would
+        tower._guard_encode(j)
+    F, nus = session.functor, range(session.valuations.size)
 
-    def pair_push(f: Callable) -> Callable:
-        return lambda elem: (elem[0], push_delta(session.lat, elem[1], f))
+    def up(f: Sequence[int], m: int, k: int) -> list[int]:
+        """(nu, d) -> (nu, T(f)(d)) over stage m, for f from stage m-1 into stage k-1."""
+        pushed, step = F.map_table(f, tower.size(m - 1), tower.size(k - 1)), tower.tsize(k - 1)
+        return [nu * step + x for nu in nus for x in pushed]
 
-    # inductive family: level-k composite out of stage n
-    inductive: list[Callable] = [tower.bang]
+    closed = [list(range(tower.size(0)))]  # C(m, k) for k <= m, for m = 0..n
+    for m in range(1, n + 1):
+        tm = tower.tsize(m - 1)
+        closed = [[t // tm for t in range(tower.size(m))]] + [
+            up(closed[k - 1], m, k) for k in range(1, m + 1)]
+    iota, gamma = tower.iota_table(n - 1), tower.gamma_table(n - 1)
+    inductive = closed[:1]
     for k in range(1, n + 1):
-        inner = inductive[k - 1]
-        inductive.append(lambda elem, inner=inner: pair_push(inner)(iota_n(elem)))
-
-    # closed form: k-fold functor image of the terminal map from stage n-k
-    closed: list[Callable] = []
-    for k in range(n + 1):
-        f: Callable = tower.bang
-        for _ in range(k):
-            f = pair_push(f)
-        closed.append(f)
-
+        inductive.append(up([inductive[k - 1][x] for x in iota], n, k))
+    retract = up([gamma[x] for x in iota], n, n)
+    if inductive == closed and inductive[n] == retract == list(range(size_n)):
+        return report
     for t in range(size_n):
-        elem = tower.decode_full(n, t)
         for k in range(n + 1):
-            a = tower.encode_full(k, inductive[k](elem))
-            b = tower.encode_full(k, closed[k](elem))
-            report.checked += 1
-            if a != b:
-                report.fail("closed-form", (n, k, t),
-                            f"inductive composite lands at {a}, closed form at {b}")
-        report.checked += 2
-        if tower.encode_full(n, inductive[n](elem)) != t:
+            if inductive[k][t] != closed[k][t]:
+                report.fail("closed-form", (n, k, t), f"inductive composite lands at "
+                            f"{inductive[k][t]}, closed form at {closed[k][t]}")
+        if inductive[n][t] != t:
             report.fail("top-is-identity", (n, t), "level-n composite is not the identity")
-        if tower.encode_full(n, gamma_n(iota_n(elem))) != t:
+        if retract[t] != t:
             report.fail("projection-retracts-section", (n, t), "gamma after iota moved the element")
     return report
 

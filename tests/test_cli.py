@@ -382,3 +382,37 @@ def test_corrupt_cached_table_is_rebuilt(capsys, tmp_path, table, argv, entry):
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (0, fresh_out, "")
     assert json.loads(path.read_text()) == fresh
+
+
+def test_check_lemma1_reads_corrupt_cached_section(capsys, tmp_path):
+    """An in-range but wrong cached iota1 passes the cache's shape check; the
+    checker reads it and refutes it."""
+    cfg = write_json(tmp_path, "cfg.json", {"propositions": ["p"],
+                                            "cache_dir": str(tmp_path / "cache")})
+    code, out, _ = invoke(capsys, "--config", cfg, "check", "lemma1", "2")
+    assert code == 0 and out.startswith("tower sections at n=2: pass, 2560 cases checked")
+    [path] = (tmp_path / "cache").glob("*-iota1.json")
+    path.write_text(json.dumps([0] * 8))
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", "check", "lemma1", "2")
+    assert code == 1
+    first = json.loads(out)["violations"][0]
+    assert (first["law"], first["witness"]) == ("closed-form", [2, 2, 2])
+
+
+@pytest.mark.parametrize("algebra,props,argv,code", [
+    ("goedel:4", ["p", "q"], ["sat", "p"], 2),
+    ("goedel:4", ["p", "q"], ["check", "lemma1", "0"], 2),
+    ("goedel:7", ["p"], ["sat", "p"], 0),  # 7^7 table entries: within the budget
+])
+def test_stage0_section_choice_over_budget_is_budget_error(capsys, tmp_path, algebra, props,
+                                                           argv, code):
+    """The canonical stage-0 section of a table-valued functor is a table over
+    Hom(stage 0, A); past the budget it is refused before it is built."""
+    cfg = write_json(tmp_path, "cfg.json", {"algebra": algebra, "functor": "neighborhood",
+                                            "propositions": props})
+    got, out, err = invoke(capsys, "--config", cfg, *argv)
+    assert got == code
+    if code == 2:
+        assert err.startswith("ERROR BudgetError") and "stage-0 section choice" in err
+    else:
+        assert out.startswith("SATISFIABLE")

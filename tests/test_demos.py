@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion as a script."""
+"""Each narrative demo runs to completion as a script and prints exactly its
+committed output, tests/golden/<demo>.out (the demos are seeded)."""
 import os
 import subprocess
 import sys
@@ -8,16 +9,32 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_all_six_demos_found():
     assert len(DEMOS) == 6
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def _run(demo: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    proc = _run(demo)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_demo_has_a_golden_output():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == [p.stem for p in DEMOS]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_prints_golden_output(demo):
+    proc = _run(demo)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.out").read_text()

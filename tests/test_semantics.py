@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from mvmodal import (BudgetError, InputError, StageTower, StepEvaluator,
                      eval_model, eval_step, lemma2_model, load_model,
                      model_consequence, model_to_dict, sigma_k, sigma_states,
                      step_consequence)
+from mvmodal.functors import push_delta
+from mvmodal.report import ValidationReport
 from mvmodal.semantics import ModelImages, stage_columns
 from mvmodal.syntax import rank
 from conftest import make_session, random_formula, random_model
@@ -318,17 +321,118 @@ def test_lemma1_level_two_powerset(boolean_ps1):
 
 
 def test_lemma1_detects_broken_projection(boolean_ps1, monkeypatch):
-    real = StageTower.gamma_dec
+    real = StageTower.gamma_table
 
     def bad_gamma(self, k):
         if k == 0:
-            return lambda elem: (1 - elem[0], None)  # flips the valuation
+            return [1 - nu for nu in real(self, 0)]  # flips the valuation
         return real(self, k)
 
-    monkeypatch.setattr(StageTower, "gamma_dec", bad_gamma)
+    monkeypatch.setattr(StageTower, "gamma_table", bad_gamma)
     report = check_lemma1(boolean_ps1, 1)
     assert not report.ok
     assert any(v.law == "projection-retracts-section" for v in report.violations)
+
+
+def test_lemma1_detects_broken_section(boolean_ps1, monkeypatch):
+    real = StageTower.iota_table
+
+    def bad_iota(self, k):
+        if k == 0:
+            step = self.tsize(0)
+            return [(1 - t // step) * step + t % step for t in real(self, 0)]  # flips the valuation
+        return real(self, k)
+
+    monkeypatch.setattr(StageTower, "iota_table", bad_iota)
+    report = check_lemma1(boolean_ps1, 1)
+    assert not report.ok
+    assert any(v.law == "closed-form" for v in report.violations)
+
+
+def _nested_lemma1(s, n, tower, section0=None):
+    """The nested checker check_lemma1 replaced: decode_full every stage-n
+    element, push it through decoded-level sections, projections and terminal
+    maps, and encode_full each composite. section0, when given, is the stage-0
+    section as an id table (so a table planted in a cache reaches this
+    checker too); else it is nu -> (nu, iota0_id()), as in the tower."""
+    report = ValidationReport(subject=f"tower sections at n={n}")
+    size_n = tower.size(n)
+
+    def bang(elem):
+        return (elem[0], None)
+
+    def pair_push(f):
+        return lambda elem: (elem[0], push_delta(s.lat, elem[1], f))
+
+    def iota_dec(k):
+        if k:
+            return pair_push(iota_dec(k - 1))
+        base = push_delta(s.lat, s.functor.decode(tower.size(0), tower.iota0_id()),
+                          lambda e: (e, None))
+        if section0 is None:
+            return lambda elem: (elem[0], base)
+        return lambda elem: tower.decode_full(1, section0[elem[0]])
+
+    def gamma_dec(k):
+        return pair_push(gamma_dec(k - 1)) if k else bang
+
+    iota_n, gamma_n = iota_dec(n), gamma_dec(n)
+    inductive = [bang]
+    for k in range(1, n + 1):
+        inductive.append(lambda elem, inner=pair_push(inductive[k - 1]): inner(iota_n(elem)))
+    closed = [bang]
+    for k in range(1, n + 1):
+        closed.append(pair_push(closed[k - 1]))
+    for t in range(size_n):
+        elem = tower.decode_full(n, t)
+        for k in range(n + 1):
+            a = tower.encode_full(k, inductive[k](elem))
+            b = tower.encode_full(k, closed[k](elem))
+            report.checked += 1
+            if a != b:
+                report.fail("closed-form", (n, k, t),
+                            f"inductive composite lands at {a}, closed form at {b}")
+        report.checked += 2
+        if tower.encode_full(n, inductive[n](elem)) != t:
+            report.fail("top-is-identity", (n, t), "level-n composite is not the identity")
+        if tower.encode_full(n, gamma_n(iota_n(elem))) != t:
+            report.fail("projection-retracts-section", (n, t), "gamma after iota moved the element")
+    return report
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).to_dict()
+    except (BudgetError, InputError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("props", [("p",), ("p", "q")])
+@pytest.mark.parametrize("functor", FUNCTORS)
+@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
+def test_lemma1_matches_nested_checker(algebra, functor, props, tmp_path):
+    """check_lemma1 (integer tables) against the nested checker, report for
+    report and error for error, on the canonical tower and on one whose cached
+    stage-0 section moves the valuation, so that the laws fail."""
+    for iota0 in (None, 0, 1, 3):
+        s = make_session(algebra=algebra, functor=functor, propositions=props, iota0=iota0,
+                         budget=1000)
+        for n in range(3):
+            want = _outcome(_nested_lemma1, s, n, StageTower(s))
+            assert _outcome(check_lemma1, s, n, StageTower(s)) == want, (iota0, n)
+            if n == 0 or isinstance(want, str):
+                continue
+            cache = tmp_path / f"{iota0}-{n}"
+            bad = make_session(algebra=algebra, functor=functor, propositions=props,
+                               iota0=iota0, budget=1000, cache_dir=str(cache))
+            tower, V = StageTower(bad), bad.valuations.size
+            step = tower.tsize(0)
+            section0 = [(nu + 1) % V * step + (nu * 7 + 1) % step for nu in range(V)]
+            cache.mkdir()
+            tower._cache_path("iota0").write_text(json.dumps(section0))
+            want = _outcome(_nested_lemma1, bad, n, StageTower(bad), section0)
+            assert not want["ok"]
+            assert _outcome(check_lemma1, bad, n, tower) == want, ("cached iota0", iota0, n)
 
 
 def test_stage_coherence(boolean_ps1):
