@@ -6,7 +6,6 @@ from the meet table (a <= b iff meet(a, b) == a, equivalently join(a, b) == b).
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,9 +154,6 @@ class ResiduatedLattice:
         if self.values is not None:
             out["values"] = [str(v) for v in self.values]
         return out
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def builtin_lattice(kind: str, k: int = 2) -> ResiduatedLattice:

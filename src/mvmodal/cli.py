@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = chk.add_parser("truth-lemma", help="model semantics vs stage semantics")
     p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("formula")
-    p = chk.add_parser("lemma1", help="section and projection tables in use, cached "
-                                      "ones included, against their closed form")
+    p = chk.add_parser("lemma1", help="section and projection tables in use against "
+                                      "their closed form")
     p.add_argument("n", type=int)
     p = chk.add_parser("naturality", help="lifting naturality on small carriers")
     p.add_argument("lifting")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from typing import Callable, Sequence
 
 from .algebra import FuzzySubset, ResiduatedLattice
@@ -230,7 +231,8 @@ def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: i
     alpha-cut-ordered families (unary liftings only).
 
     F ranges over families of size 0..family_bound (the empty intersection is
-    the full domain); G starts at size 1.
+    the full domain); G starts at size 1. Base sizes whose T-carrier, or whose
+    number of family pairs, exceeds the budget are reported as skipped.
     """
     if lifting.arity != 1:
         raise InputError(f"alpha-preservation is defined for unary liftings; {lifting.name} is {lifting.arity}-ary")
@@ -247,6 +249,12 @@ def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: i
         tn = F.fits(n, budget)
         if tn is None:
             report.skip(f"base size {n}: |T(S)|={F.size_text(n)} exceeds budget {budget}")
+            continue
+        m = lat.size ** n
+        cases = sum(comb(m, i) for i in range(family_bound + 1)) * sum(
+            comb(m, i) for i in range(1, g_high + 1))
+        if cases > budget:
+            report.skip(f"base size {n}: {cases} family pairs exceed budget {budget}")
             continue
         subsets = list(product(range(lat.size), repeat=n))
         dom_full, lift_full = (1 << n) - 1, (1 << tn) - 1

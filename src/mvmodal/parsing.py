@@ -24,7 +24,7 @@ MAX_NESTING = 100
 
 _CINDEX = re.compile(r"^c(\d+)$")
 _IDENT_START = re.compile(r"[A-Za-z_]")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class ParseError(InputError):
@@ -78,7 +78,7 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("numeral", text[i:j], i))
             i = j
         elif _IDENT_START.match(ch):
-            m = _IDENT.match(text, i)
+            m = IDENT.match(text, i)
             tokens.append(Token("ident", m.group(0), i))
             i = m.end()
         else:

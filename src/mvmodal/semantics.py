@@ -14,8 +14,6 @@ which stops at the first witness.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -204,8 +202,8 @@ class StageTower:
     """Enumerated stage carriers with the section/projection tables.
 
     Stage 0 is the valuation set; stage k+1 pairs a valuation with a T-image
-    of stage k (valuation-major ids). Tables are cached on disk per session
-    fingerprint when a cache directory is configured.
+    of stage k (valuation-major ids). The section and projection tables are
+    built on first use and kept for the life of the tower.
     """
 
     # encode() for table-valued functors walks Hom(stage, A); refuse beyond this
@@ -306,44 +304,6 @@ class StageTower:
                 self._describe[key] = f"<{head}; {body}>"
         return self._describe[key]
 
-    # cache -------------------------------------------------------------------
-
-    def _cache_path(self, name: str) -> Path | None:
-        if self.s.cache_dir is None:
-            return None
-        return Path(self.s.cache_dir) / f"{self.s.fingerprint()}-{name}.json"
-
-    def _cached_table(self, name: str, length: int, bound: int,
-                      build: Callable[[], list[int]]) -> list[int]:
-        """The table cached under name when it is a list of length ints in
-        range(bound); otherwise build() it and write it to the cache."""
-        path, cached = self._cache_path(name), None
-        if path is not None:
-            try:
-                with open(path) as fh:
-                    cached = json.load(fh)
-            except (OSError, ValueError):
-                pass
-        if isinstance(cached, list) and len(cached) == length \
-                and all(type(v) is int and 0 <= v < bound for v in cached):
-            return cached
-        table = build()
-        self._cache_put(name, table)
-        return table
-
-    def _cache_put(self, name: str, obj) -> None:
-        path = self._cache_path(name)
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(obj, fh)
-            os.replace(tmp, path)
-        except OSError:
-            pass
-
     # section / projection tables ----------------------------------------------
 
     def iota0_id(self) -> int:
@@ -368,14 +328,11 @@ class StageTower:
                 self._guard_encode(k)
             # |T(stage k)|: the guard bounds it, as stage k+1 may be over budget
             step = F.size(self.size(k)) if k else self.tsize(0)
-
-            def build() -> list[int]:
-                if k == 0:
-                    return [nu * step + self.iota0_id() for nu in nus]
+            if k == 0:
+                self._iota[k] = [nu * step + self.iota0_id() for nu in nus]
+            else:
                 pushed = F.map_table(self.iota_table(k - 1), self.size(k - 1), self.size(k))
-                return [nu * step + x for nu in nus for x in pushed]
-
-            self._iota[k] = self._cached_table(f"iota{k}", self.size(k), len(nus) * step, build)
+                self._iota[k] = [nu * step + x for nu in nus for x in pushed]
         return self._iota[k]
 
     def gamma_table(self, k: int) -> list[int]:
@@ -383,15 +340,13 @@ class StageTower:
         (nu, d) goes to nu at k = 0 and to (nu, T(gamma_{k-1})(d)) above."""
         if k not in self._gamma:
             F, nus = self.s.functor, range(self.s.valuations.size)
-
-            def build() -> list[int]:
-                if k == 0:
-                    return [nu for nu in nus for _ in range(self.tsize(0))]
+            self.size(k + 1)  # refuse an over-budget domain before building over it
+            if k == 0:
+                self._gamma[k] = [nu for nu in nus for _ in range(self.tsize(0))]
+            else:
                 self._guard_encode(k - 1)
                 pushed = F.map_table(self.gamma_table(k - 1), self.size(k), self.size(k - 1))
-                return [nu * self.tsize(k - 1) + x for nu in nus for x in pushed]
-
-            self._gamma[k] = self._cached_table(f"gamma{k}", self.size(k + 1), self.size(k), build)
+                self._gamma[k] = [nu * self.tsize(k - 1) + x for nu in nus for x in pushed]
         return self._gamma[k]
 
 
@@ -556,7 +511,7 @@ def check_lemma1(session: Session, n: int, tower: StageTower | None = None) -> V
     I(k) = (id x T(I(k-1))) . iota_n agree with their closed form C(n, k), the
     k-fold T-image of the terminal map; I(n) is the identity; gamma_n retracts
     iota_n. Each map is an id table over stage n, so this checks the section
-    and projection tables in use (iota_table, gamma_table), cached ones included."""
+    and projection tables in use (iota_table, gamma_table)."""
     tower = tower or StageTower(session)
     report = ValidationReport(subject=f"tower sections at n={n}")
     size_n = tower.size(n)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -11,7 +10,7 @@ from pathlib import Path
 from .algebra import ResiduatedLattice, Table, builtin_lattice, load_algebra
 from .functors import Functor, ValuationSet, make_functor
 from .lifting import LiftingRegistry, standard_liftings
-from .parsing import parse_formula
+from .parsing import IDENT, parse_formula
 from .report import InputError, as_int
 from .syntax import BIN_OPS, Const, Formula, Modal, Prop, pretty, subformulas
 
@@ -47,7 +46,6 @@ class Session:
     budget: int = DEFAULT_BUDGET
     threshold: Fraction = Fraction(1, 2)
     iota0: int | None = None  # id in T(stage 0) overriding the canonical section
-    cache_dir: Path | None = None
     registry: LiftingRegistry = field(init=False)
     valuations: ValuationSet = field(init=False)
     tables: dict[str, Table] = field(init=False)  # connective -> lattice table
@@ -55,6 +53,8 @@ class Session:
     def __post_init__(self):
         self.propositions = tuple(self.propositions)
         for p in self.propositions:
+            if not IDENT.fullmatch(p):
+                raise InputError(f"propositions must be identifiers the parser can read, got {p!r}")
             if _CPAT.match(p):
                 raise InputError(f"proposition name {p!r} collides with constant syntax")
         if len(set(self.propositions)) != len(self.propositions):
@@ -67,9 +67,6 @@ class Session:
         self.tables = {op: getattr(self.lat, name) for op, name in zip(BIN_OPS, _LATTICE_OPS)}
         if self.budget < 1:
             raise InputError("budget must be positive")
-        env_cache = os.environ.get("MVMODAL_CACHE")
-        if self.cache_dir is None and env_cache:
-            self.cache_dir = Path(env_cache)
 
     # -- formulas -------------------------------------------------------------
 
@@ -118,7 +115,7 @@ class Session:
         props = data.get("propositions", ())
         if not isinstance(props, (list, tuple)) or not all(isinstance(p, str) for p in props):
             raise InputError(f"propositions must be a list of names, got {props!r}")
-        cache_dir = data.get("cache_dir")
+        cache_dir = data.get("cache_dir")  # accepted for old configs; nothing is read from it
         if cache_dir and not isinstance(cache_dir, (str, Path)):
             raise InputError(f"cache_dir must be a path, got {cache_dir!r}")
         return cls(
@@ -128,20 +125,4 @@ class Session:
             budget=DEFAULT_BUDGET if data.get("budget") is None else data["budget"],
             threshold=threshold,
             iota0=data.get("iota0"),
-            cache_dir=Path(cache_dir) if cache_dir else None,
         )
-
-    def fingerprint(self) -> str:
-        import hashlib
-
-        payload = json.dumps(
-            {
-                "algebra": self.lat.to_dict(),
-                "functor": self.functor.config(),
-                "propositions": list(self.propositions),
-                "iota0": self.iota0,
-                "threshold": str(self.threshold),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:20]

@@ -140,16 +140,6 @@ def test_validator_matches_brute_force_on_seeded_corruptions(kind, k):
         assert report.checked == 3 * k**3 + 12 * k * k + 2 * k
 
 
-@pytest.mark.parametrize("kind,k,fingerprint", [
-    ("boolean", 2, "8e18b76ddfec1bea"), ("lukasiewicz", 3, "3cb088f5f2e959a8"),
-    ("lukasiewicz", 4, "dfdaf2999c8f1234"), ("goedel", 3, "4c11b5979c993187"),
-    ("goedel", 4, "a8ba3fcc0f5070ae"),
-])
-def test_builtin_fingerprints_are_stable(kind, k, fingerprint):
-    # fingerprints name the disk-cache files, so caches written earlier stay valid
-    assert builtin_lattice(kind, k).fingerprint() == fingerprint
-
-
 def test_boolean_only_size_two():
     with pytest.raises(InputError):
         builtin_lattice("boolean", 3)

@@ -1,7 +1,11 @@
 """End-to-end runs of the command line through in-process main()."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmodal import builtin_lattice
 from mvmodal.cli import main
@@ -139,6 +143,15 @@ def test_check_lemma1(capsys):
     assert "pass" in out
 
 
+def test_cache_dir_is_accepted_and_ignored(capsys, tmp_path):
+    cfg = write_json(tmp_path, "cfg.json", {"propositions": ["p"],
+                                            "cache_dir": str(tmp_path / "cache")})
+    code, out, _ = invoke(capsys, "--config", cfg, "check", "lemma1", "2")
+    assert code == 0 and out.startswith("tower sections at n=2: pass, 2560 cases checked")
+    assert invoke(capsys, "--config", cfg, "sat", "box(box(p)) & p")[0] == 0
+    assert not (tmp_path / "cache").exists()
+
+
 def test_check_naturality(capsys):
     code, out, _ = invoke(capsys, "check", "naturality", "box")
     assert code == 0
@@ -158,6 +171,19 @@ def test_check_preservation(capsys):
     code, _, err = invoke(capsys, "check", "preservation", "box", "--alpha", "0.37")
     assert code == 2
     assert "names no carrier value" in err
+
+
+def test_preservation_skips_family_counts_over_budget(capsys, tmp_path):
+    """Base sizes whose number of family pairs exceeds the budget are skipped
+    instead of enumerated; the sizes within budget are checked as before."""
+    cfg = write_json(tmp_path, "cfg.json", {"budget": 1000})
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", "check", "preservation", "box",
+                          "--alpha", "1", "--bound", "6", "--family-bound", "1")
+    report = json.loads(out)
+    assert code == 0 and report["ok"] and not report["complete"]
+    assert report["checked"] == sum((1 + 2**n) * 2**n for n in range(5))
+    assert report["skipped"] == ["base size 5: 1056 family pairs exceed budget 1000",
+                                 "base size 6: 4160 family pairs exceed budget 1000"]
 
 
 def test_check_axioms(capsys, tmp_path):
@@ -292,6 +318,7 @@ def test_deep_connective_chain_is_input_error(capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("propositions", "pq"), ("propositions", 5), ("propositions", [1]),
+    ("propositions", [""]), ("propositions", ["p q"]), ("propositions", ["1p"]),
     ("algebra", 5), ("cache_dir", 5),
 ])
 def test_mistyped_config_values_are_input_errors(capsys, tmp_path, key, value):
@@ -361,42 +388,64 @@ def test_unexpected_exception_is_exit_three(capsys, monkeypatch):
     assert err.rstrip().endswith("ERROR RuntimeError: planted fault")
 
 
-AXIOM_IDENTITY = [{"name": "id", "premises": ["p"], "conclusion": "p"}]
+FUZZ_MODALITIES = {"powerset": {"box": 1, "diamond": 1}, "fuzzyhom": {"box": 1, "diamond": 1},
+                   "neighborhood": {"box": 1}, "selection": {"cond": 2},
+                   "distribution:2": {"prob": 1, "over": 1}}
+ODD_NAMES = ["x_1", "_a", "P", "c0", "c12", "box", "cond", "over", "", "p q", "1p", "p-q", "é"]
 
 
-@pytest.mark.parametrize("entry", ["x", [1], -1, 0.5, True, 10**6])
-@pytest.mark.parametrize("table,argv", [
-    ("iota1", ["sat", "box(box(p)) & p"]),           # the generated witness model
-    ("gamma0", ["check", "axioms", "AXIOMS", "--n", "1"]),  # p outside a modality
-])
-def test_corrupt_cached_table_is_rebuilt(capsys, tmp_path, table, argv, entry):
-    cfg = write_json(tmp_path, "cfg.json", {"propositions": ["p"],
-                                            "cache_dir": str(tmp_path / "cache")})
-    argv = ["--config", cfg] + [write_json(tmp_path, "ax.json", AXIOM_IDENTITY)
-                                if a == "AXIOMS" else a for a in argv]
-    code, fresh_out, _ = invoke(capsys, *argv)
-    assert code == 0
-    [path] = (tmp_path / "cache").glob(f"*-{table}.json")
-    fresh = json.loads(path.read_text())
-    path.write_text(json.dumps([entry] + fresh[1:]))
-    code, out, err = invoke(capsys, *argv)
-    assert (code, out, err) == (0, fresh_out, "")
-    assert json.loads(path.read_text()) == fresh
+def _formulas(arities):
+    """Mostly formulas from a small grammar over the session's modalities,
+    sometimes random text."""
+    def grow(inner):
+        binary = st.tuples(inner, st.sampled_from(["&", "/\\", "|", "->", "<->"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})")
+        modal = st.sampled_from(sorted(arities.items())).flatmap(
+            lambda m: st.lists(inner, min_size=m[1], max_size=m[1]).map(
+                lambda args: f"{m[0]}({', '.join(args)})"))
+        return binary | modal
+    atoms = st.sampled_from(["p", "q", "p", "q", "c0", "c1", "1", "0.5"])
+    texts = st.text(alphabet="pqbox()&|-><\\/ ,c01.5", max_size=16) | st.text(max_size=8)
+    grammar = st.recursive(atoms, grow, max_leaves=5)
+    return st.integers(0, 3).flatmap(lambda kind: texts if kind == 0 else grammar)
 
 
-def test_check_lemma1_reads_corrupt_cached_section(capsys, tmp_path):
-    """An in-range but wrong cached iota1 passes the cache's shape check; the
-    checker reads it and refutes it."""
-    cfg = write_json(tmp_path, "cfg.json", {"propositions": ["p"],
-                                            "cache_dir": str(tmp_path / "cache")})
-    code, out, _ = invoke(capsys, "--config", cfg, "check", "lemma1", "2")
-    assert code == 0 and out.startswith("tower sections at n=2: pass, 2560 cases checked")
-    [path] = (tmp_path / "cache").glob("*-iota1.json")
-    path.write_text(json.dumps([0] * 8))
-    code, out, _ = invoke(capsys, "--config", cfg, "--json", "check", "lemma1", "2")
-    assert code == 1
-    first = json.loads(out)["violations"][0]
-    assert (first["law"], first["witness"]) == ("closed-form", [2, 2, 2])
+@st.composite
+def _fuzz_cases(draw):
+    functor = draw(st.sampled_from(sorted(FUZZ_MODALITIES)))
+    props = draw(st.sampled_from([[], ["p"], ["p"], ["p", "q"], ["p", "q", "r"], None]))
+    if props is None:  # names the parser may not read, duplicates included
+        props = draw(st.lists(st.sampled_from(ODD_NAMES + ["p"]) | st.text(max_size=3),
+                              max_size=3))
+    cfg = {"algebra": draw(st.sampled_from(["boolean", "lukasiewicz:3", "goedel:3", "goedel:4"])),
+           "functor": functor, "propositions": props}
+    for key, values in (("budget", st.integers(-3, 10**4)), ("iota0", st.integers(-2, 9))):
+        if draw(st.booleans()):
+            cfg[key] = draw(values)
+    verb = draw(st.sampled_from(["valid", "sat", "entails", "stage", "rank"]))
+    formulas = _formulas(FUZZ_MODALITIES[functor])
+    if verb == "stage":
+        args = [str(draw(st.integers(-2, 3)))]
+    elif verb == "entails":
+        args = draw(st.lists(formulas, min_size=1, max_size=3))
+    else:
+        args = [draw(formulas)]
+    return cfg, [verb, "--", *args]  # "--": a formula may start with "-"
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_fuzz_cases(), as_json=st.booleans())
+def test_fuzzed_configs_and_formulas_exit_0_1_or_2(tmp_path_factory, case, as_json):
+    """Any config and formula gets an answer or a typed error: an exit of 3 is
+    a fault of the program."""
+    cfg, argv = case
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["--config", str(path), *(["--json"] if as_json else []), *argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (cfg, argv, err.getvalue()[-2000:])
 
 
 @pytest.mark.parametrize("algebra,props,argv,code", [

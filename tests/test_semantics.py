@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -115,16 +114,6 @@ def test_iota0_override_changes_section(boolean_ps1):
     over = StageTower(s_over)
     assert plain.iota_table(0) != over.iota_table(0)
     assert check_lemma1(s_over, 2).ok  # sections retract for any section choice
-
-
-def test_stage_tables_cached_on_disk(tmp_path, monkeypatch):
-    s = make_session(propositions=("p",), cache_dir=str(tmp_path))
-    tower = StageTower(s)
-    iota = tower.iota_table(1)
-    files = list(tmp_path.glob("*-iota1.json"))
-    assert len(files) == 1
-    fresh = StageTower(s)
-    assert fresh.iota_table(1) == iota
 
 
 # -- step semantics -----------------------------------------------------------------------
@@ -353,7 +342,7 @@ def _nested_lemma1(s, n, tower, section0=None):
     """The nested checker check_lemma1 replaced: decode_full every stage-n
     element, push it through decoded-level sections, projections and terminal
     maps, and encode_full each composite. section0, when given, is the stage-0
-    section as an id table (so a table planted in a cache reaches this
+    section as an id table (so a table planted in a tower reaches this
     checker too); else it is nu -> (nu, iota0_id()), as in the tower."""
     report = ValidationReport(subject=f"tower sections at n={n}")
     size_n = tower.size(n)
@@ -407,12 +396,23 @@ def _outcome(check, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+class PlantedSection(StageTower):
+    """A tower whose stage-k section table is the given id table."""
+
+    def __init__(self, session, k, table):
+        super().__init__(session)
+        self.planted = k, table
+
+    def iota_table(self, k):
+        return self.planted[1] if k == self.planted[0] else super().iota_table(k)
+
+
 @pytest.mark.parametrize("props", [("p",), ("p", "q")])
 @pytest.mark.parametrize("functor", FUNCTORS)
 @pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
-def test_lemma1_matches_nested_checker(algebra, functor, props, tmp_path):
+def test_lemma1_matches_nested_checker(algebra, functor, props):
     """check_lemma1 (integer tables) against the nested checker, report for
-    report and error for error, on the canonical tower and on one whose cached
+    report and error for error, on the canonical tower and on one whose
     stage-0 section moves the valuation, so that the laws fail."""
     for iota0 in (None, 0, 1, 3):
         s = make_session(algebra=algebra, functor=functor, propositions=props, iota0=iota0,
@@ -422,17 +422,21 @@ def test_lemma1_matches_nested_checker(algebra, functor, props, tmp_path):
             assert _outcome(check_lemma1, s, n, StageTower(s)) == want, (iota0, n)
             if n == 0 or isinstance(want, str):
                 continue
-            cache = tmp_path / f"{iota0}-{n}"
-            bad = make_session(algebra=algebra, functor=functor, propositions=props,
-                               iota0=iota0, budget=1000, cache_dir=str(cache))
-            tower, V = StageTower(bad), bad.valuations.size
-            step = tower.tsize(0)
+            V, step = s.valuations.size, StageTower(s).tsize(0)
             section0 = [(nu + 1) % V * step + (nu * 7 + 1) % step for nu in range(V)]
-            cache.mkdir()
-            tower._cache_path("iota0").write_text(json.dumps(section0))
-            want = _outcome(_nested_lemma1, bad, n, StageTower(bad), section0)
+            want = _outcome(_nested_lemma1, s, n, StageTower(s), section0)
             assert not want["ok"]
-            assert _outcome(check_lemma1, bad, n, tower) == want, ("cached iota0", iota0, n)
+            tower = PlantedSection(s, 0, section0)
+            assert _outcome(check_lemma1, s, n, tower) == want, ("planted iota0", iota0, n)
+
+
+def test_check_lemma1_refutes_wrong_section_table(boolean_ps1):
+    """An in-range but wrong iota1 is read by the checker and refuted."""
+    assert check_lemma1(boolean_ps1, 2).ok
+    report = check_lemma1(boolean_ps1, 2, PlantedSection(boolean_ps1, 1, [0] * 8))
+    assert not report.ok
+    first = report.to_dict()["violations"][0]
+    assert (first["law"], first["witness"]) == ("closed-form", [2, 2, 2])
 
 
 def test_stage_coherence(boolean_ps1):
