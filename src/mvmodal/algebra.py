@@ -6,14 +6,13 @@ from the meet table (a <= b iff meet(a, b) == a, equivalently join(a, b) == b).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .report import InputError, ValidationReport, as_int
+from .report import InputError, ValidationReport, as_int, read_json
 
 __all__ = [
     "ResiduatedLattice",
@@ -89,6 +88,8 @@ class ResiduatedLattice:
                 object.__setattr__(self, "labels", tuple(f"c{i}" for i in range(self.size)))
         if len(self.labels) != self.size:
             raise InputError("label list length != size")
+        if len(set(self.labels)) != self.size:  # a label must print back to its own constant
+            raise InputError(f"labels must be distinct, got {list(self.labels)!r}")
         if self.values is not None and len(self.values) != self.size:
             raise InputError("values list length != size")
         leq = tuple(tuple(m == a for m in row) for a, row in enumerate(self.meet))
@@ -183,13 +184,9 @@ def builtin_lattice(kind: str, k: int = 2) -> ResiduatedLattice:
 
 def load_algebra(source: str | Path | dict) -> ResiduatedLattice:
     """Read an algebra from a JSON file or an already-parsed object."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    data = read_json(source)
     if not isinstance(data, dict):
-        raise InputError("algebra file must hold a JSON object")
+        raise InputError(f"an algebra must be a JSON object, got {type(data).__name__}")
     missing = [key for key in ("name", "size", "join", "meet", "mono", "impl", "bot", "top") if key not in data]
     if missing:
         raise InputError(f"algebra file missing keys: {', '.join(missing)}")
@@ -282,14 +279,9 @@ class FuzzySubset:
         return iter(self.values)
 
 
-def _values_of(f) -> Sequence[int]:
-    return f.values if isinstance(f, FuzzySubset) else f
-
-
 def alpha_cut(lat: ResiduatedLattice, f, alpha: int) -> frozenset[int]:
-    """{x : f(x) >= alpha}."""
-    vals = _values_of(f)
-    return frozenset(x for x, v in enumerate(vals) if lat.leq(alpha, v))
+    """{x : f(x) >= alpha}, for f a FuzzySubset or a sequence of values."""
+    return frozenset(x for x, v in enumerate(f) if lat.leq(alpha, v))
 
 
 def family_leq_alpha(lat: ResiduatedLattice, fs, gs, alpha: int, domain_size: int) -> bool:

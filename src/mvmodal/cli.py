@@ -12,7 +12,6 @@ import json
 import sys
 import time
 import traceback
-from fractions import Fraction
 
 from .algebra import load_algebra, validate_lattice
 from .decision import consequence, satisfiable, validity
@@ -138,8 +137,6 @@ def run(args) -> int:
         return _verdict_exit(args, satisfiable(session, session.parse(args.formula)),
                              "SATISFIABLE", "UNSATISFIABLE")
     if args.verb == "entails":
-        if len(args.formulas) < 1:
-            raise InputError("entails needs a conclusion")
         *prem_text, conc_text = args.formulas
         verdict = consequence(session, [session.parse(t) for t in prem_text],
                               session.parse(conc_text))

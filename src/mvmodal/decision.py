@@ -25,7 +25,7 @@ with a concrete finite model.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
 
@@ -153,13 +153,8 @@ def _witness(session: Session, tower: StageTower, n: int, formulas: Sequence[For
 
 def validity(session: Session, phi: Formula, n: int | None = None,
              tower: StageTower | None = None) -> Verdict:
-    """Top everywhere on stage rank(phi)."""
-    session.validate_formula(phi)
-    n = _resolve_stage([phi], n)
-    top = session.lat.top
-    witness = _witness(session, tower or StageTower(session), n, [phi],
-                       lambda val: val(phi) != top)
-    return Verdict(witness is None, "valid", n, witness)
+    """Top everywhere on stage rank(phi): consequence from no premises."""
+    return replace(consequence(session, [], phi, n, tower), mode="valid")
 
 
 def consequence(session: Session, premises: Sequence[Formula], phi: Formula,

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .algebra import ResiduatedLattice
-from .report import BudgetError, InputError, ValidationReport, as_int
+from .report import InputError, ValidationReport, as_int
 
 __all__ = [
     "FiniteSet",
@@ -219,7 +219,8 @@ class Functor:
         raise NotImplementedError
 
     def sigma_from_json(self, n: int, entry):
-        """Delta form over states 0..n-1 from a model file's sigma entry."""
+        """Delta form over states 0..n-1 from a model file's sigma entry, a
+        list of ints."""
         raise NotImplementedError
 
     def sigma_to_json(self, n: int, delta) -> list[int]:
@@ -261,8 +262,7 @@ class Powerset(Functor):
         inner = ", ".join(elem_text(e) for e in sorted(delta, key=sort_key))
         return "{" + inner + "}"
 
-    def sigma_from_json(self, n: int, entry):
-        ids = [as_int(x) for x in entry]
+    def sigma_from_json(self, n: int, ids):
         if any(not 0 <= x < n for x in ids):
             raise InputError(f"state id outside 0..{n - 1}")
         return frozenset(ids)
@@ -299,8 +299,7 @@ class FuzzyHom(Functor):
         inner = ", ".join(f"{elem_text(e)}:{self.lat.label(v)}" for e, v in delta[1])
         return "fz{" + inner + "}"
 
-    def sigma_from_json(self, n: int, entry):
-        vals = [as_int(v) for v in entry]
+    def sigma_from_json(self, n: int, vals):
         if len(vals) != n or any(not 0 <= v < self.lat.size for v in vals):
             raise InputError(f"expected {n} values below {self.lat.size}")
         return ("fz", tuple((i, v) for i, v in enumerate(vals) if v != self.lat.bot))
@@ -352,8 +351,7 @@ class Neighborhood(Functor):
         over = ",".join(elem_text(e) for e in mapping)
         return f"nb[{labels} over ({over})]"
 
-    def sigma_from_json(self, n: int, entry):
-        vals = [as_int(v) for v in entry]
+    def sigma_from_json(self, n: int, vals):
         if len(vals) != self._homsize(n) or any(not 0 <= v < self.lat.size for v in vals):
             raise InputError(f"expected {self._homsize(n)} table entries below {self.lat.size}")
         return ("nb", tuple(vals), tuple(range(n)))
@@ -419,9 +417,8 @@ class Selection(Functor):
         over = ",".join(elem_text(e) for e in mapping)
         return f"sel[{','.join(map(str, table))} over ({over})]"
 
-    def sigma_from_json(self, n: int, entry):
+    def sigma_from_json(self, n: int, vals):
         h = self._homsize(n)
-        vals = [as_int(v) for v in entry]
         if len(vals) != h or any(not 0 <= v < h for v in vals):
             raise InputError(f"expected {h} function ids below {h}")
         return ("sel", tuple(vals), n, tuple(range(n)))
@@ -483,8 +480,7 @@ class Distribution(Functor):
         inner = ", ".join(f"{elem_text(e)}:{c}/{q}" for e, c in pairs)
         return "ds{" + inner + "}"
 
-    def sigma_from_json(self, n: int, entry):
-        counts = [as_int(c) for c in entry]
+    def sigma_from_json(self, n: int, counts):
         if len(counts) != n or sum(counts) != self.q or any(c < 0 for c in counts):
             raise InputError(f"expected {n} nonnegative counts summing to {self.q}")
         return ("ds", tuple((i, c) for i, c in enumerate(counts) if c), self.q)

@@ -12,14 +12,12 @@ functions to the axiom's propositions.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .lifting import check_alpha_preservation
-from .report import BudgetError, InputError, ValidationReport
-from .semantics import StageTower, local_nodes, stage_columns, tabulate
+from .report import BudgetError, InputError, ValidationReport, read_json
+from .semantics import StageTower, local_nodes, refutation, stage_columns, tabulate
 from .session import Session
 from .syntax import BIN_OPS, Bin, Const, Formula, Modal, Prop, propositions_of, rank, substitute
 
@@ -71,24 +69,34 @@ class ModalAxiomSet:
         raise InputError(f"unknown axiom {name!r}")
 
 
+def _consecution(session: Session, entry, where: str) -> Consecution:
+    """The premises (a list of formula strings, default none) and the
+    conclusion (a formula string) of an axiom entry or derivation node."""
+    if not isinstance(entry, dict):
+        raise InputError(f"{where}: expected a JSON object")
+    premises, conclusion = entry.get("premises", []), entry.get("conclusion")
+    if not isinstance(premises, list) or not all(isinstance(t, str) for t in premises):
+        raise InputError(f"{where}: premises must be a list of formula strings, got {premises!r}")
+    if not isinstance(conclusion, str):
+        raise InputError(f"{where}: conclusion must be a formula string, got {conclusion!r}")
+    return Consecution(tuple(map(session.parse, premises)), session.parse(conclusion))
+
+
+def _name(entry: dict, key: str, where: str) -> str:
+    if not isinstance(entry.get(key), str):
+        raise InputError(f"{where}: {key} must be a string, got {entry.get(key)!r}")
+    return entry[key]
+
+
 def load_axiom_set(session: Session, source) -> ModalAxiomSet:
     """JSON list of {"name", "premises": [formula], "conclusion": formula}."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    data = read_json(source)
     if not isinstance(data, list):
         raise InputError("axiom set must be a JSON list")
     axioms = []
     for i, entry in enumerate(data):
-        try:
-            name = str(entry["name"])
-            premises = tuple(session.parse(t) for t in entry.get("premises", []))
-            conclusion = session.parse(entry["conclusion"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"axiom #{i}: {exc}") from None
-        axioms.append((name, Consecution(premises, conclusion)))
+        cons = _consecution(session, entry, f"axiom #{i}")
+        axioms.append((_name(entry, "name", f"axiom #{i}"), cons))
     return ModalAxiomSet(tuple(axioms))
 
 
@@ -117,14 +125,11 @@ def decide_ax_a(session: Session, premises, conclusion: Formula) -> bool:
     lead = len(atoms) - tail
     rows = list(itertools.product(range(size), repeat=tail))
     trailing = {f: tuple(r[i] for r in rows) for i, f in enumerate(atoms[lead:])}
-    top = session.lat.top
     for fixed in itertools.product(range(size), repeat=lead):
         col = tabulate(session, roots, len(rows), trailing.__getitem__,
                        {f: (v,) * len(rows) for f, v in zip(atoms, fixed)})
-        prem = [col[g] for g in premises]
-        for i, v in enumerate(col[conclusion]):
-            if v != top and all(p[i] == top for p in prem):
-                return False
+        if refutation(session, col, premises, conclusion) is not None:
+            return False
     return True
 
 
@@ -144,39 +149,29 @@ class DerivationNode:
 def load_derivation(session: Session, source) -> DerivationNode:
     """Nested JSON nodes: every node carries premises/conclusion plus its rule
     fields (axlambda: axiom + substitution; modal: lifting + child)."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
 
     def build(node, path: str) -> DerivationNode:
-        if not isinstance(node, dict):
-            raise InputError(f"{path}: derivation node must be a JSON object")
+        cons = _consecution(session, node, path)
         rule = node.get("rule")
         if rule not in ("axa", "axlambda", "modal"):
             raise InputError(f"{path}: unknown rule {rule!r}")
-        try:
-            premises = tuple(session.parse(t) for t in node.get("premises", []))
-            conclusion = session.parse(node["conclusion"])
-        except KeyError:
-            raise InputError(f"{path}: node needs a conclusion") from None
-        cons = Consecution(premises, conclusion)
         if rule == "axa":
             return DerivationNode("axa", cons)
         if rule == "axlambda":
-            subst = tuple(sorted(
-                (str(p), session.parse(t)) for p, t in node.get("substitution", {}).items()
-            ))
-            if "axiom" not in node:
-                raise InputError(f"{path}: axlambda node needs an axiom name")
-            return DerivationNode("axlambda", cons, axiom=str(node["axiom"]), substitution=subst)
-        if "lifting" not in node or "child" not in node:
-            raise InputError(f"{path}: modal node needs lifting and child")
-        return DerivationNode("modal", cons, lifting=str(node["lifting"]),
+            subst = node.get("substitution", {})
+            if not isinstance(subst, dict) or not all(
+                    isinstance(p, str) and isinstance(t, str) for p, t in subst.items()):
+                raise InputError(f"{path}: substitution must map names to formula strings, "
+                                 f"got {subst!r}")
+            return DerivationNode("axlambda", cons, axiom=_name(node, "axiom", path),
+                                  substitution=tuple(sorted((p, session.parse(t))
+                                                            for p, t in subst.items())))
+        if "child" not in node:
+            raise InputError(f"{path}: modal node needs a child")
+        return DerivationNode("modal", cons, lifting=_name(node, "lifting", path),
                               child=build(node["child"], path + ".child"))
 
-    return build(data, "root")
+    return build(read_json(source), "root")
 
 
 def check_derivation(session: Session, tree: DerivationNode,
@@ -217,9 +212,7 @@ def check_derivation(session: Session, tree: DerivationNode,
             except InputError as exc:
                 report.fail("axiom-citation", path, str(exc))
                 return
-            used = propositions_of(scheme.conclusion)
-            for g in scheme.premises:
-                used |= propositions_of(g)
+            used = set().union(*map(propositions_of, scheme.formulas()))
             rho = {p: f for p, f in node.substitution if p in used}
             if stratum is not None:
                 limit = stratum - 1
@@ -313,7 +306,6 @@ def check_step_n_soundness(session: Session, axioms: ModalAxiomSet, n: int,
     stage_size = tower.size(n)
     gamma = None
     catalog: dict | None | bool = False  # False = not yet computed
-    top = session.lat.top
 
     for name, cons in axioms.axioms:
         props = sorted(set().union(*map(propositions_of, cons.formulas())))
@@ -335,9 +327,7 @@ def check_step_n_soundness(session: Session, axioms: ModalAxiomSet, n: int,
                 return [assigned[pname][u] for u in gamma]
 
             col = stage_columns(session, tower, cons.formulas(), n, prop)
-            prem = [col[g] for g in cons.premises]
-            t = next((t for t, v in enumerate(col[cons.conclusion])
-                      if v != top and all(p[t] == top for p in prem)), None)
+            t = refutation(session, col, cons.premises, cons.conclusion)
             if t is None:
                 report.checked += 1
                 continue

@@ -1,7 +1,9 @@
-"""Shared pass/fail report type used by every mechanical checker."""
+"""The pass/fail report of every checker, the typed errors, and the input readers."""
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -95,3 +97,15 @@ def as_int(value, what: str = "value") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def read_json(source):
+    """The parsed JSON file at source when it is a path; any other source is
+    taken as the already-parsed value."""
+    if not isinstance(source, (str, Path)):
+        return source
+    try:
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not text, or nested past the stack
+        raise InputError(f"{source}: unreadable JSON ({type(exc).__name__})") from None

@@ -6,21 +6,22 @@ callers differ only in where those leaf columns come from: the model
 evaluator (over a model's states), the level walk ``stage_columns`` (over the
 ids of a stage, behind ``eval_step``, ``step_consequence``,
 ``check_stage_coherence`` and the proof kit, or over a model's hash-consed
-stage images ``ModelImages``, behind ``check_truth_lemma`` and ``sigma_k``),
-the realized-type deciders and the surrogate oracle. ``StepEvaluator`` reads
-the same semantics pointwise on decoded stage elements for the witness search,
-which stops at the first witness.
+stage images ``ModelImages``, behind ``check_truth_lemma``), the realized-type
+deciders and the surrogate oracle. ``refutation`` reads local consequence off
+such columns for ``model_consequence``, ``step_consequence``, the surrogate
+oracle ``decide_ax_a`` and the step-n soundness sweep. ``StepEvaluator`` reads
+the same semantics pointwise on decoded stage elements for the witness search
+behind ``validity``, ``consequence`` and ``satisfiable``, which stops at the
+first witness.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .algebra import FuzzySubset
 from .functors import push_delta
-from .report import BudgetError, InputError, ValidationReport, as_int
+from .report import BudgetError, InputError, ValidationReport, as_int, read_json
 from .session import Session
 from .syntax import Bin, Const, Formula, Modal, Prop, rank
 
@@ -32,6 +33,7 @@ __all__ = [
     "level_plan",
     "tabulate",
     "eval_model",
+    "refutation",
     "model_consequence",
     "StageTower",
     "StepEvaluator",
@@ -69,11 +71,7 @@ class TModel:
 def load_model(session: Session, source) -> TModel:
     """states/valuation/sigma JSON layout; sigma entries are functor-shaped
     (state-id lists, value rows, tables over Hom(S,A) ids, count vectors)."""
-    if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
+    data = read_json(source)
     try:
         n = as_int(data["states"], "states")
         valuation_rows = data["valuation"]
@@ -98,7 +96,7 @@ def load_model(session: Session, source) -> TModel:
         if not isinstance(entry, list):
             raise InputError(f"sigma[{s}]: expected a list")
         try:
-            sigma.append(session.functor.sigma_from_json(n, entry))
+            sigma.append(session.functor.sigma_from_json(n, [as_int(v) for v in entry]))
         except (InputError, TypeError, ValueError) as exc:
             raise InputError(f"sigma[{s}]: {exc}") from None
     return TModel(tuple(valuation), tuple(sigma))
@@ -183,16 +181,22 @@ def eval_model(session: Session, model: TModel, phi: Formula) -> FuzzySubset:
     return FuzzySubset(tabulate(session, [phi], n, leaf, col)[phi])
 
 
+def refutation(session: Session, col, premises: Sequence[Formula], phi: Formula) -> int | None:
+    """The first index at which every premise column of col is top and phi's
+    column is not: the local consequence premises |- phi fails there. None
+    when there is no such index."""
+    top = session.lat.top
+    prem = [col[g] for g in premises]
+    return next((i for i, v in enumerate(col[phi])
+                 if v != top and all(p[i] == top for p in prem)), None)
+
+
 def model_consequence(session: Session, model: TModel, premises: Sequence[Formula],
                       phi: Formula) -> tuple[bool, int | None]:
     """Local consequence on one model; returns the first refuting state if any."""
-    top = session.lat.top
-    prem_vals = [eval_model(session, model, g) for g in premises]
-    concl = eval_model(session, model, phi)
-    for s in range(model.n_states):
-        if all(v[s] == top for v in prem_vals) and concl[s] != top:
-            return False, s
-    return True, None
+    col = {f: eval_model(session, model, f) for f in (*premises, phi)}
+    s = refutation(session, col, premises, phi)
+    return s is None, s
 
 
 # -- the terminal sequence ---------------------------------------------------------
@@ -319,34 +323,38 @@ class StageTower:
             raise InputError(f"iota0 override {self.s.iota0} outside T(stage 0)")
         return self.s.iota0
 
+    def up(self, f: Sequence[int], m: int, k: int) -> list[int]:
+        """(nu, d) -> (nu, T(f)(d)) as ids over stage m >= 1, for an id table f
+        from stage m-1 into stage k-1. The step |T(stage k-1)| is sized
+        directly, as stage k itself may be over budget (iota_table)."""
+        F = self.s.functor
+        pushed = F.map_table(f, self.size(m - 1), self.size(k - 1))
+        step = F.size(self.size(k - 1))
+        return [nu * step + x for nu in range(self.s.valuations.size) for x in pushed]
+
     def iota_table(self, k: int) -> list[int]:
         """Section stage k -> stage k+1 as ids (codomain ids may be bigints):
         (nu, d) goes to (nu, T(iota_{k-1})(d))."""
         if k not in self._iota:
-            F, nus = self.s.functor, range(self.s.valuations.size)
-            if k:
-                self._guard_encode(k)
-            # |T(stage k)|: the guard bounds it, as stage k+1 may be over budget
-            step = F.size(self.size(k)) if k else self.tsize(0)
             if k == 0:
-                self._iota[k] = [nu * step + self.iota0_id() for nu in nus]
+                self._iota[k] = [nu * self.tsize(0) + self.iota0_id()
+                                 for nu in range(self.s.valuations.size)]
             else:
-                pushed = F.map_table(self.iota_table(k - 1), self.size(k - 1), self.size(k))
-                self._iota[k] = [nu * step + x for nu in nus for x in pushed]
+                self._guard_encode(k)
+                self._iota[k] = self.up(self.iota_table(k - 1), k, k + 1)
         return self._iota[k]
 
     def gamma_table(self, k: int) -> list[int]:
         """Projection stage k+1 -> stage k as ids (stage k+1 must be in budget):
         (nu, d) goes to nu at k = 0 and to (nu, T(gamma_{k-1})(d)) above."""
         if k not in self._gamma:
-            F, nus = self.s.functor, range(self.s.valuations.size)
             self.size(k + 1)  # refuse an over-budget domain before building over it
             if k == 0:
-                self._gamma[k] = [nu for nu in nus for _ in range(self.tsize(0))]
+                self._gamma[k] = [nu for nu in range(self.s.valuations.size)
+                                  for _ in range(self.tsize(0))]
             else:
                 self._guard_encode(k - 1)
-                pushed = F.map_table(self.gamma_table(k - 1), self.size(k), self.size(k - 1))
-                self._gamma[k] = [nu * self.tsize(k - 1) + x for nu in nus for x in pushed]
+                self._gamma[k] = self.up(self.gamma_table(k - 1), k + 1, k)
         return self._gamma[k]
 
 
@@ -420,12 +428,8 @@ def step_consequence(session: Session, premises: Sequence[Formula], phi: Formula
     for f in (*premises, phi):
         session.validate_formula(f)
     col = stage_columns(session, tower or StageTower(session), [*premises, phi], n)
-    top = session.lat.top
-    prem = [col[g] for g in premises]
-    for t, v in enumerate(col[phi]):
-        if v != top and all(p[t] == top for p in prem):
-            return False, t
-    return True, None
+    t = refutation(session, col, premises, phi)
+    return t is None, t
 
 
 # -- approximation maps out of a model -------------------------------------------------
@@ -521,23 +525,16 @@ def check_lemma1(session: Session, n: int, tower: StageTower | None = None) -> V
         return report  # every composite out of stage 0 is the identity
     for j in range(n):  # refuse in the order encodes into stages 1..n would
         tower._guard_encode(j)
-    F, nus = session.functor, range(session.valuations.size)
-
-    def up(f: Sequence[int], m: int, k: int) -> list[int]:
-        """(nu, d) -> (nu, T(f)(d)) over stage m, for f from stage m-1 into stage k-1."""
-        pushed, step = F.map_table(f, tower.size(m - 1), tower.size(k - 1)), tower.tsize(k - 1)
-        return [nu * step + x for nu in nus for x in pushed]
-
     closed = [list(range(tower.size(0)))]  # C(m, k) for k <= m, for m = 0..n
     for m in range(1, n + 1):
         tm = tower.tsize(m - 1)
         closed = [[t // tm for t in range(tower.size(m))]] + [
-            up(closed[k - 1], m, k) for k in range(1, m + 1)]
+            tower.up(closed[k - 1], m, k) for k in range(1, m + 1)]
     iota, gamma = tower.iota_table(n - 1), tower.gamma_table(n - 1)
     inductive = closed[:1]
     for k in range(1, n + 1):
-        inductive.append(up([inductive[k - 1][x] for x in iota], n, k))
-    retract = up([gamma[x] for x in iota], n, n)
+        inductive.append(tower.up([inductive[k - 1][x] for x in iota], n, k))
+    retract = tower.up([gamma[x] for x in iota], n, n)
     if inductive == closed and inductive[n] == retract == list(range(size_n)):
         return report
     for t in range(size_n):

@@ -1,7 +1,6 @@
 """Session = algebra + functor + proposition signature + registry + budgets."""
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -11,7 +10,7 @@ from .algebra import ResiduatedLattice, Table, builtin_lattice, load_algebra
 from .functors import Functor, ValuationSet, make_functor
 from .lifting import LiftingRegistry, standard_liftings
 from .parsing import IDENT, parse_formula
-from .report import InputError, as_int
+from .report import InputError, as_int, read_json
 from .syntax import BIN_OPS, Const, Formula, Modal, Prop, pretty, subformulas
 
 __all__ = ["Session", "algebra_from_spec"]
@@ -24,18 +23,14 @@ _LATTICE_OPS = ("join", "meet", "mono", "impl")  # the lattice table of each of 
 
 def algebra_from_spec(spec) -> ResiduatedLattice:
     """Accepts 'boolean', 'lukasiewicz:3', 'goedel:4', a JSON path, or a dict."""
-    if isinstance(spec, dict):
-        return load_algebra(spec)
     if isinstance(spec, ResiduatedLattice):
         return spec
-    if not isinstance(spec, (str, Path)):
-        raise InputError(f"algebra spec must be a name, a file path or an object, got {spec!r}")
-    m = _BUILTIN.match(str(spec))
+    m = _BUILTIN.match(str(spec)) if isinstance(spec, (str, Path)) else None
     if m:
         return builtin_lattice(m.group(1), int(m.group(2) or 2))
-    if Path(spec).exists():
-        return load_algebra(spec)
-    raise InputError(f"algebra spec {spec!r} is neither a builtin name nor an existing file")
+    if isinstance(spec, (str, Path)) and not Path(spec).exists():
+        raise InputError(f"algebra spec {spec!r} is neither a builtin name nor an existing file")
+    return load_algebra(spec)
 
 
 @dataclass(eq=False)
@@ -71,6 +66,8 @@ class Session:
     # -- formulas -------------------------------------------------------------
 
     def parse(self, text: str) -> Formula:
+        if not isinstance(text, str):
+            raise InputError(f"a formula must be a string, got {text!r}")
         return parse_formula(text, self.lat, self.propositions, self.registry.arities())
 
     def pretty(self, phi: Formula) -> str:
@@ -92,11 +89,7 @@ class Session:
 
     @classmethod
     def from_config(cls, source) -> "Session":
-        if isinstance(source, (str, Path)):
-            with open(source) as fh:
-                data = json.load(fh)
-        else:
-            data = dict(source)
+        data = read_json(source)
         if not isinstance(data, dict):
             raise InputError("session config must be a JSON object")
         known = {"algebra", "functor", "propositions", "budget", "threshold", "iota0", "cache_dir"}

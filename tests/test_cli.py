@@ -116,9 +116,9 @@ def test_validate_algebra_corrupted(capsys, tmp_path):
 
 @pytest.mark.parametrize("change", [
     {"size": 2.7}, {"top": True}, {"join": [[0, 1.9], [1, 1]]}, {"meet": [[0, True], [0, 1]]},
-    {"labels": [0, 1]}, {"labels": "ab"}, {"values": 5}, {"values": "01"},
+    {"labels": [0, 1]}, {"labels": "ab"}, {"values": 5}, {"values": "01"}, {"labels": ["0", "0"]},
 ], ids=["float-size", "bool-top", "float-entry", "bool-entry", "int-labels", "string-labels",
-        "int-values", "string-values"])
+        "int-values", "string-values", "repeated-labels"])
 def test_mistyped_algebra_file_is_input_error(capsys, tmp_path, change):
     path = write_json(tmp_path, "alg.json", {**builtin_lattice("boolean", 2).to_dict(), **change})
     code, out, _ = invoke(capsys, "--json", "validate-algebra", path)
@@ -204,6 +204,44 @@ def test_check_derivation(capsys, tmp_path):
     code, out, _ = invoke(capsys, "check", "derivation", tree)
     assert code == 1
     assert "violation:" in out
+
+
+TREE_AXLAMBDA = {"rule": "axlambda", "axiom": "boxtop", "substitution": {"p": "q"},
+                 "premises": [], "conclusion": "box(c1)"}
+
+
+@pytest.mark.parametrize("verb,contents,where", [
+    ("derivation", {**TREE_AXLAMBDA, "substitution": [1, 2]}, "root: substitution must map"),
+    ("derivation", {**TREE_AXLAMBDA, "substitution": "pq"}, "root: substitution must map"),
+    ("derivation", {**TREE_AXLAMBDA, "substitution": {"p": 3}}, "root: substitution must map"),
+    ("derivation", {**TREE_AXLAMBDA, "axiom": 5}, "root: axiom must be a string"),
+    ("derivation", {**TREE_BAD, "conclusion": 5}, "root: conclusion must be a formula string"),
+    ("derivation", {**TREE_BAD, "premises": "p"}, "root: premises must be a list"),
+    ("derivation", {**TREE_OK, "lifting": ["box"]}, "root: lifting must be a string"),
+    ("derivation", {**TREE_OK, "child": {**TREE_BAD, "premises": [["p"]]}},
+     "root.child: premises must be a list"),
+    ("axioms", [{**AXIOM_BOXTOP[0], "premises": "box(p)"}], "axiom #0: premises must be a list"),
+    ("axioms", [{**AXIOM_BOXTOP[0], "conclusion": ["box(c1)"]}],
+     "axiom #0: conclusion must be a formula string"),
+    ("axioms", [AXIOM_BOXTOP[0], {**AXIOM_BOXBOT[0], "name": 5}],
+     "axiom #1: name must be a string"),
+    ("axioms", b"\xff\xfe[]", "unreadable JSON"),
+    ("derivation", b"[" * 5000, "unreadable JSON"),
+], ids=["list-substitution", "string-substitution", "int-image", "int-axiom", "int-conclusion",
+        "string-premises", "list-lifting", "nested-premise", "axiom-string-premises",
+        "axiom-list-conclusion", "int-name", "not-utf8", "nested-too-deeply"])
+def test_malformed_proof_files_are_input_errors(capsys, tmp_path, verb, contents, where):
+    """Axiom and derivation files read formulas only from strings, names only
+    from strings, and substitutions only from objects of strings."""
+    path = tmp_path / "file.json"
+    path.write_bytes(contents if isinstance(contents, bytes) else json.dumps(contents).encode())
+    axioms = write_json(tmp_path, "ax.json", AXIOM_BOXTOP)
+    argv = ["check", "axioms", str(path), "--n", "1"] if verb == "axioms" else \
+        ["check", "derivation", str(path), "--axioms", axioms]
+    code, out, _ = invoke(capsys, "--json", *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "InputError" and where in error["message"]
 
 
 def test_json_output_is_deterministic(capsys):
@@ -465,3 +503,142 @@ def test_stage0_section_choice_over_budget_is_budget_error(capsys, tmp_path, alg
         assert err.startswith("ERROR BudgetError") and "stage-0 section choice" in err
     else:
         assert out.startswith("SATISFIABLE")
+
+
+# Small sessions for the file fuzzing: with this budget every enumeration an
+# example can reach is refused or takes milliseconds.
+FILE_SESSIONS = {
+    "powerset": ("boolean", ["p", "q"], [[1], []]),
+    "fuzzyhom": ("lukasiewicz:3", ["p"], [[0, 2], [1, 0]]),
+    "neighborhood": ("boolean", ["p"], [[0, 1, 0, 1], [1, 1, 0, 0]]),
+    "selection": ("boolean", ["p"], [[0, 1, 2, 3], [3, 3, 3, 3]]),
+    "distribution:2": ("lukasiewicz:3", ["p"], [[1, 1], [2, 0]]),
+}
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-2, 9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, sub in items:
+        yield from _paths(sub, path + (key,))
+
+
+@st.composite
+def _mutated(draw, core):
+    """core with up to two parts replaced by junk, dropped or wrapped in a list."""
+    value = json.loads(json.dumps(core))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        path = draw(st.sampled_from(list(_paths(value))))
+        op = draw(st.sampled_from(["junk", "drop", "wrap"]))
+        if not path:
+            value = [value] if op == "wrap" else draw(JUNK)
+            continue
+        parent = value
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = [parent[path[-1]]] if op == "wrap" else draw(JUNK)
+    return value
+
+
+def _derivations(formulas, arities, depth=2):
+    fields = {"premises": st.lists(formulas, max_size=2), "conclusion": formulas}
+    axa = st.fixed_dictionaries({"rule": st.just("axa"), **fields})
+    axlambda = st.fixed_dictionaries({
+        "rule": st.just("axlambda"), **fields, "axiom": st.sampled_from(["ax0", "ax1", "nope"]),
+        "substitution": st.dictionaries(st.sampled_from(["p", "q"]), formulas, max_size=2)})
+    if not depth:
+        return axa | axlambda
+    modal = st.fixed_dictionaries({
+        "rule": st.just("modal"), **fields, "lifting": st.sampled_from(sorted(arities)),
+        "child": _derivations(formulas, arities, depth - 1)})
+    return axa | axlambda | modal
+
+
+def _numeral(low, high):
+    """Mostly an integer in low..high, sometimes text argparse refuses."""
+    return st.sampled_from([0, 0, 0, 1]).flatmap(
+        lambda junk: st.sampled_from(["x", "1.5", ""]) if junk else st.integers(low, high).map(str))
+
+
+@st.composite
+def _file_cases(draw):
+    """(config, {file name: contents}, argv) for one verb that reads a file or
+    takes a size: a well-formed core, often mutated, sometimes not JSON at all."""
+    functor = draw(st.sampled_from(sorted(FILE_SESSIONS)))
+    algebra, props, sigma = FILE_SESSIONS[functor]
+    arities = FUZZ_MODALITIES[functor]
+    cfg = {"algebra": algebra, "functor": functor, "propositions": props, "budget": 5000}
+    formulas = _formulas(arities).map(lambda text: text.replace("q", props[-1]))
+    lifting = draw(st.sampled_from([*sorted(arities), "nope"]))
+    kind = draw(st.sampled_from(["eval", "truth-lemma", "validate-algebra", "algebra-config",
+                                 "axioms", "derivation", "lemma1", "naturality",
+                                 "preservation"]))
+    if kind in ("eval", "truth-lemma"):
+        core = {"states": 2, "valuation": [[1] * len(props), [0] * len(props)], "sigma": sigma}
+        argv = [*(["eval"] if kind == "eval" else ["check", "truth-lemma"]),
+                "--model", "{file}", "--", draw(formulas)]
+    elif kind in ("validate-algebra", "algebra-config"):
+        core = builtin_lattice(*draw(st.sampled_from([("boolean", 2), ("lukasiewicz", 3)]))
+                               ).to_dict()
+        if kind == "algebra-config":
+            cfg["algebra"] = "{file}"
+        argv = ["validate-algebra", "{file}"] if kind == "validate-algebra" else \
+            ["valid", "--", draw(formulas)]
+    elif kind == "axioms":
+        core = [{"name": f"ax{i}", "premises": draw(st.lists(formulas, max_size=2)),
+                 "conclusion": draw(formulas)} for i in range(draw(st.integers(0, 2)))]
+        argv = ["check", "axioms", "{file}", "--n", draw(_numeral(-1, 2))]
+    elif kind == "derivation":
+        core = draw(_derivations(formulas, arities))
+        argv = ["check", "derivation", "{file}", "--axioms", "{axioms}"]
+        if draw(st.booleans()):
+            argv += ["--n", draw(_numeral(-1, 3))]
+    else:
+        core = None
+        argv = {"lemma1": ["check", "lemma1", draw(_numeral(-2, 4))],
+                "naturality": ["check", "naturality", lifting, "--bound", draw(_numeral(-2, 2))],
+                "preservation": ["check", "preservation", lifting,
+                                 "--alpha", draw(st.sampled_from(["0", "1", "0.5", "2", "x"])),
+                                 "--bound", draw(_numeral(-2, 4)),
+                                 "--family-bound", draw(_numeral(-2, 4))]}[kind]
+    files = {}
+    if core is not None:
+        files["file"] = draw(st.binary(max_size=6)) if draw(st.integers(0, 9)) == 7 else \
+            json.dumps(draw(_mutated(core))).encode()
+        files["axioms"] = json.dumps([{"name": "ax0", "premises": [], "conclusion": "c1"},
+                                      {"name": "ax1", "premises": ["p"],
+                                       "conclusion": "p"}]).encode()
+    return cfg, files, argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_file_cases(), as_json=st.booleans())
+def test_fuzzed_files_and_sizes_exit_0_1_or_2(tmp_path_factory, case, as_json):
+    """Every verb that reads a model, algebra, axiom or derivation file, or
+    takes a size, ends in an answer or a typed error: an exit of 3 is a fault
+    of the program."""
+    cfg, files, argv = case
+    where = tmp_path_factory.mktemp("fuzz")
+    names = {key: str(where / f"{key}.json") for key in ("file", "axioms", "cfg")}
+    for key, contents in files.items():
+        (where / f"{key}.json").write_bytes(contents)
+    cfg = {k: v.format(**names) if isinstance(v, str) else v for k, v in cfg.items()}
+    (where / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["--config", names["cfg"], *(["--json"] if as_json else []),
+            *(a.format(**names) if a in ("{file}", "{axioms}") else a for a in argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed size
+            code = exc.code
+    assert code in (0, 1, 2), (cfg, files, argv, err.getvalue()[-2000:])
