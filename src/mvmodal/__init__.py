@@ -5,10 +5,9 @@ decision procedures, and mechanical checkers for the meta-theory."""
 from .algebra import (FuzzySubset, ResiduatedLattice, alpha_cut, builtin_lattice,
                       family_leq_alpha, load_algebra, validate_lattice)
 from .decision import Verdict, consequence, lemma2_model, satisfiable, validity
-from .functors import (Distribution, FiniteMap, FiniteSet, Functor, FuzzyHom,
-                       Neighborhood, Powerset, Selection, ValuationSet,
-                       check_functor_laws, make_functor, push_delta, t_morphism,
-                       t_object)
+from .functors import (Distribution, Functor, FuzzyHom, Neighborhood, Powerset,
+                       Selection, ValuationSet, check_functor_laws, make_functor,
+                       push_delta)
 from .lifting import (LiftingRegistry, PredicateLifting, apply_lifting,
                       check_alpha_preservation, check_naturality,
                       standard_liftings)
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError", "Bin", "Consecution", "Const", "DerivationNode",
-    "Distribution", "FiniteMap", "FiniteSet", "Formula", "Functor", "FuzzyHom",
-    "FuzzySubset", "InputError", "LiftingRegistry", "Modal", "ModalAxiomSet",
+    "Distribution", "Formula", "Functor", "FuzzyHom", "FuzzySubset",
+    "InputError", "LiftingRegistry", "Modal", "ModalAxiomSet",
     "Neighborhood", "ParseError", "Powerset", "PredicateLifting", "Prop",
     "ResiduatedLattice", "Selection", "Session", "StageTower",
     "StepEvaluator", "TModel", "ValidationReport", "ValuationSet", "Verdict",
@@ -45,6 +44,5 @@ __all__ = [
     "model_to_dict", "one_step_soundness_report", "parse_formula", "pretty",
     "propositions_of", "push_delta", "rank", "satisfiable", "sigma_k",
     "sigma_states", "standard_liftings", "step_consequence", "subformulas",
-    "substitute", "substitution_rank", "t_morphism", "t_object",
-    "tokenize", "validate_lattice", "validity",
+    "substitute", "substitution_rank", "tokenize", "validate_lattice", "validity",
 ]

@@ -1,11 +1,14 @@
-"""Finite set endofunctors with canonical element ids and decoded forms.
+"""Finite set endofunctors with canonical element ids, decoded forms and
+their standard modalities.
 
 Every functor assigns each finite carrier size n a canonically enumerated set
 T(n) (ids 0..|T(n)|-1) together with decode/encode between ids and structured
-"delta forms". Delta forms are small hashable trees whose leaves are base-set
-elements; crucially they also represent elements of T(X) for *non-enumerable*
-X (pushforwards keep the structure small), which is what lets stage maps be
-computed without materializing astronomically large carriers:
+"delta forms", and declares its predicate liftings, whose evaluators read
+those forms; no other module reads a delta form. Delta forms are small
+hashable trees whose leaves are base-set elements; crucially they also
+represent elements of T(X) for *non-enumerable* X (pushforwards keep the
+structure small), which is what lets stage maps be computed without
+materializing astronomically large carriers:
 
     frozenset({...})                powerset: the subset itself
     ("fz", ((elem, value), ...))    fuzzy subset, sparse, default bot
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
@@ -29,8 +33,6 @@ from .algebra import ResiduatedLattice
 from .report import InputError, ValidationReport, as_int
 
 __all__ = [
-    "FiniteSet",
-    "FiniteMap",
     "ValuationSet",
     "Functor",
     "Powerset",
@@ -43,8 +45,8 @@ __all__ = [
     "sort_key",
     "digits_of",
     "undigits",
-    "t_object",
-    "t_morphism",
+    "expected_truth",
+    "floor_to_chain",
     "check_functor_laws",
 ]
 
@@ -118,30 +120,7 @@ def push_delta(lat: ResiduatedLattice, delta, f: Callable):
     raise InputError(f"unknown delta form {delta!r}")
 
 
-# -- carriers -------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteSet:
-    size: int
-    describe: Callable[[int], str] = str
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteMap:
-    dom: FiniteSet
-    cod: FiniteSet
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
-        if len(self.table) != self.dom.size:
-            raise InputError("map table length != domain size")
-        if any(not 0 <= v < self.cod.size for v in self.table):
-            raise InputError("map table value outside codomain")
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
+# -- valuations -----------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,14 +206,25 @@ class Functor:
         """The model file's sigma entry of a delta form over states 0..n-1."""
         raise NotImplementedError
 
-    def config(self) -> dict:
-        return {"functor": self.name}
+    def liftings(self, threshold: Fraction) -> list[tuple]:
+        """The standard predicate liftings as (name, arity, formula, fn) rows;
+        fn(lat, functor, delta, args) is the lifted predicate at a delta form,
+        with the argument predicates given as callables on base elements."""
+        raise InputError(f"no standard liftings for functor {self.name!r}")
 
     # id-level morphism action T(f); requires both carriers enumerable
     def map_table(self, f_table: Sequence[int], dom_n: int, cod_n: int) -> list[int]:
         lookup = list(f_table).__getitem__
         return [self.encode(cod_n, push_delta(self.lat, self.decode(dom_n, x), lookup))
                 for x in range(self.size(dom_n))]
+
+
+def _box_powerset(lat, F, delta, args):
+    return lat.meet_many(args[0](e) for e in delta)
+
+
+def _diamond_powerset(lat, F, delta, args):
+    return lat.join_many(args[0](e) for e in delta)
 
 
 class Powerset(Functor):
@@ -269,6 +259,19 @@ class Powerset(Functor):
 
     def sigma_to_json(self, n: int, delta) -> list[int]:
         return sorted(delta)
+
+    def liftings(self, threshold: Fraction) -> list[tuple]:
+        return [("box", 1, "box(f)(X) = meet of f(x) over x in X", _box_powerset),
+                ("diamond", 1, "diamond(f)(X) = join of f(x) over x in X", _diamond_powerset)]
+
+
+def _box_fuzzyhom(lat, F, delta, args):
+    # meet over the whole base of delta(y) -> f(y); absent points give top
+    return lat.meet_many(lat.impl[v][args[0](e)] for e, v in delta[1])
+
+
+def _diamond_fuzzyhom(lat, F, delta, args):
+    return lat.join_many(lat.mono[v][args[0](e)] for e, v in delta[1])
 
 
 class FuzzyHom(Functor):
@@ -309,6 +312,18 @@ class FuzzyHom(Functor):
         for e, v in delta[1]:
             vals[e] = v
         return vals
+
+    def liftings(self, threshold: Fraction) -> list[tuple]:
+        return [("box", 1, "box(f)(g) = meet over x of g(x) -> f(x)", _box_fuzzyhom),
+                ("diamond", 1, "diamond(f)(g) = join over x of g(x) * f(x)", _diamond_fuzzyhom)]
+
+
+def _box_neighborhood(lat, F, delta, args):
+    _, base, mapping = delta
+    code = 0
+    for e in mapping:
+        code = code * lat.size + args[0](e)
+    return base[code]
 
 
 class Neighborhood(Functor):
@@ -358,6 +373,16 @@ class Neighborhood(Functor):
 
     def sigma_to_json(self, n: int, delta) -> list[int]:
         return _table_row(n, delta[1], delta[2])
+
+    def liftings(self, threshold: Fraction) -> list[tuple]:
+        return [("box", 1, "box(f)(N) = N(f)", _box_neighborhood)]
+
+
+def _cond_selection(lat, F: Selection, delta, args):
+    # s(f) included in g, inclusion graded by meet of pointwise residua
+    mapping = delta[3]
+    row = F.row_at(delta, tuple(args[0](e) for e in mapping))
+    return lat.meet_many(lat.impl[v][args[1](y)] for y, v in row.items())
 
 
 class Selection(Functor):
@@ -426,6 +451,31 @@ class Selection(Functor):
     def sigma_to_json(self, n: int, delta) -> list[int]:
         return _table_row(n, delta[1], delta[3])
 
+    def liftings(self, threshold: Fraction) -> list[tuple]:
+        return [("cond", 2, "cond(f,g)(s) = meet over x of s(f)(x) -> g(x)", _cond_selection)]
+
+
+def expected_truth(lat: ResiduatedLattice, delta, argfn: Callable) -> Fraction:
+    """Exact expected truth value of the argument under a grid distribution."""
+    _, pairs, q = delta
+    total = Fraction(0)
+    for e, c in pairs:
+        total += lat.values[argfn(e)] * Fraction(c, q)
+    return total
+
+
+def floor_to_chain(lat: ResiduatedLattice, fr: Fraction) -> int:
+    """Largest carrier element whose value is <= fr."""
+    best = lat.bot
+    for i, v in enumerate(lat.values):
+        if v <= fr and v >= lat.values[best]:
+            best = i
+    return best
+
+
+def _prob_distribution(lat, F, delta, args):
+    return floor_to_chain(lat, expected_truth(lat, delta, args[0]))
+
 
 class Distribution(Functor):
     """Probability distributions restricted to the 1/q grid."""
@@ -437,9 +487,6 @@ class Distribution(Functor):
         if q < 1:
             raise InputError("distribution grid denominator q must be >= 1")
         self.q = q
-
-    def config(self) -> dict:
-        return {"functor": {"distribution": {"q": self.q}}}
 
     def _count(self, q: int, n: int) -> int:
         if n == 0:
@@ -491,6 +538,31 @@ class Distribution(Functor):
             counts[e] = c
         return counts
 
+    def liftings(self, threshold: Fraction) -> list[tuple]:
+        lat = self.lat
+        if lat.values is None:
+            raise InputError("distribution modalities needs a rational embedding: "
+                             f"algebra {lat.name} has no values table")
+        if any(lat.values[i] >= lat.values[i + 1] for i in range(lat.size - 1)):
+            raise InputError("distribution modalities needs a chain with increasing values; "
+                             f"{lat.name} is not")
+
+        def over(lat, F, delta, args):
+            _, pairs, q = delta
+            out = lat.bot
+            for alpha in range(lat.size):
+                mass = Fraction(0)
+                for e, c in pairs:
+                    if lat.leq(alpha, args[0](e)):
+                        mass += Fraction(c, q)
+                if mass > threshold:
+                    out = lat.join[out][alpha]
+            return out
+
+        return [("prob", 1, "prob(f)(mu) = sum of f(x)*mu(x), floored onto the chain",
+                 _prob_distribution),
+                ("over", 1, f"over(f)(mu) = join of alpha with mu(f_alpha) > {threshold}", over)]
+
 
 def _table_row(n: int, table, mapping) -> list[int]:
     """A function-table transition as a model-file row; only a table indexed
@@ -524,21 +596,7 @@ def make_functor(spec, lat: ResiduatedLattice) -> Functor:
     raise InputError(f"bad functor config {spec!r}")
 
 
-# -- categorical wrappers and the law checker ------------------------------------
-
-
-def t_object(F: Functor, S: FiniteSet) -> FiniteSet:
-    size = F.size(S.size)
-
-    def describe(x: int) -> str:
-        return F.describe(F.decode(S.size, x), lambda e: S.describe(e))
-
-    return FiniteSet(size, describe)
-
-
-def t_morphism(F: Functor, f: FiniteMap) -> FiniteMap:
-    table = F.map_table(f.table, f.dom.size, f.cod.size)
-    return FiniteMap(t_object(F, f.dom), t_object(F, f.cod), tuple(table))
+# -- the law checker -------------------------------------------------------------
 
 
 def check_functor_laws(F: Functor, bound: int = 2, budget: int = 10**6) -> ValidationReport:
@@ -564,12 +622,12 @@ def check_functor_laws(F: Functor, bound: int = 2, budget: int = 10**6) -> Valid
         if tsize[a] is None or tsize[b] is None:
             report.skip(f"composition at sizes ({a},{b},{c}): T-carrier over budget {budget}")
             continue
+        tgs = [(g, F.map_table(g, b, c)) for g in product(range(c), repeat=b)]
         for f in product(range(b), repeat=a):
             tf = F.map_table(f, a, b)
-            for g in product(range(c), repeat=b):
-                gf = tuple(g[f[x]] for x in range(a))
-                tg_of_tf = [F.encode(c, push_delta(F.lat, F.decode(b, y), lambda e: g[e])) for y in tf]
-                tgf = F.map_table(gf, a, c)
+            for g, tg in tgs:
+                tg_of_tf = [tg[y] for y in tf]
+                tgf = F.map_table(tuple(g[f[x]] for x in range(a)), a, c)
                 report.checked += len(tgf)
                 if tgf != tg_of_tf:
                     bad = next(x for x in range(len(tgf)) if tgf[x] != tg_of_tf[x])

@@ -1,9 +1,11 @@
 """Predicate liftings: modal operator semantics as natural transformations.
 
 Each lifting turns argument predicates (carrier-valued maps on a base set)
-into one predicate on the functor image. Evaluators work pointwise on delta
+into one predicate on the functor image. Each functor declares its liftings
+(``Functor.liftings``), whose evaluators in functors.py work pointwise on delta
 forms with the arguments supplied as callables, so the same code serves tiny
-concrete models and lazily represented elements of huge stage carriers.
+concrete models and lazily represented elements of huge stage carriers. This
+module registers, tabulates and checks liftings and reads no delta form.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .algebra import FuzzySubset, ResiduatedLattice
-from .functors import Functor, Selection, push_delta
+from .functors import Functor, push_delta
 from .report import BudgetError, InputError, ValidationReport
 
 __all__ = [
@@ -22,8 +24,6 @@ __all__ = [
     "LiftingRegistry",
     "standard_liftings",
     "apply_lifting",
-    "expected_truth",
-    "floor_to_chain",
     "check_naturality",
     "check_alpha_preservation",
 ]
@@ -40,86 +40,6 @@ class PredicateLifting:
 
     def value_at(self, delta, args: Sequence[Callable]) -> int:
         return self.fn(self.lat, self.functor, delta, args)
-
-
-# -- evaluators -----------------------------------------------------------------
-
-
-def _box_powerset(lat, F, delta, args):
-    return lat.meet_many(args[0](e) for e in delta)
-
-
-def _diamond_powerset(lat, F, delta, args):
-    return lat.join_many(args[0](e) for e in delta)
-
-
-def _box_fuzzyhom(lat, F, delta, args):
-    # meet over the whole base of delta(y) -> f(y); absent points give top
-    return lat.meet_many(lat.impl[v][args[0](e)] for e, v in delta[1])
-
-
-def _diamond_fuzzyhom(lat, F, delta, args):
-    return lat.join_many(lat.mono[v][args[0](e)] for e, v in delta[1])
-
-
-def _box_neighborhood(lat, F, delta, args):
-    _, base, mapping = delta
-    code = 0
-    for e in mapping:
-        code = code * lat.size + args[0](e)
-    return base[code]
-
-
-def _cond_selection(lat, F: Selection, delta, args):
-    # s(f) included in g, inclusion graded by meet of pointwise residua
-    mapping = delta[3]
-    row = F.row_at(delta, tuple(args[0](e) for e in mapping))
-    return lat.meet_many(lat.impl[v][args[1](y)] for y, v in row.items())
-
-
-def expected_truth(lat: ResiduatedLattice, delta, argfn: Callable) -> Fraction:
-    """Exact expected truth value of the argument under a grid distribution."""
-    _, pairs, q = delta
-    total = Fraction(0)
-    for e, c in pairs:
-        total += lat.values[argfn(e)] * Fraction(c, q)
-    return total
-
-
-def floor_to_chain(lat: ResiduatedLattice, fr: Fraction) -> int:
-    """Largest carrier element whose value is <= fr."""
-    best = lat.bot
-    for i, v in enumerate(lat.values):
-        if v <= fr and v >= lat.values[best]:
-            best = i
-    return best
-
-
-def _prob_distribution(lat, F, delta, args):
-    return floor_to_chain(lat, expected_truth(lat, delta, args[0]))
-
-
-def _make_over(threshold: Fraction):
-    def _over(lat, F, delta, args):
-        _, pairs, q = delta
-        out = lat.bot
-        for alpha in range(lat.size):
-            mass = Fraction(0)
-            for e, c in pairs:
-                if lat.leq(alpha, args[0](e)):
-                    mass += Fraction(c, q)
-            if mass > threshold:
-                out = lat.join[out][alpha]
-        return out
-
-    return _over
-
-
-def _require_chain_values(lat: ResiduatedLattice, what: str):
-    if lat.values is None:
-        raise InputError(f"{what} needs a rational embedding: algebra {lat.name} has no values table")
-    if any(lat.values[i] >= lat.values[i + 1] for i in range(lat.size - 1)):
-        raise InputError(f"{what} needs a chain with increasing values; {lat.name} is not")
 
 
 # -- registry ---------------------------------------------------------------------
@@ -152,23 +72,8 @@ class LiftingRegistry:
 def standard_liftings(lat: ResiduatedLattice, functor: Functor,
                       threshold: Fraction = Fraction(1, 2)) -> LiftingRegistry:
     reg = LiftingRegistry()
-    mk = lambda name, arity, formula, fn: reg.add(PredicateLifting(name, arity, functor, lat, formula, fn))
-    if functor.name == "powerset":
-        mk("box", 1, "box(f)(X) = meet of f(x) over x in X", _box_powerset)
-        mk("diamond", 1, "diamond(f)(X) = join of f(x) over x in X", _diamond_powerset)
-    elif functor.name == "fuzzyhom":
-        mk("box", 1, "box(f)(g) = meet over x of g(x) -> f(x)", _box_fuzzyhom)
-        mk("diamond", 1, "diamond(f)(g) = join over x of g(x) * f(x)", _diamond_fuzzyhom)
-    elif functor.name == "neighborhood":
-        mk("box", 1, "box(f)(N) = N(f)", _box_neighborhood)
-    elif functor.name == "selection":
-        mk("cond", 2, "cond(f,g)(s) = meet over x of s(f)(x) -> g(x)", _cond_selection)
-    elif functor.name == "distribution":
-        _require_chain_values(lat, "distribution modalities")
-        mk("prob", 1, "prob(f)(mu) = sum of f(x)*mu(x), floored onto the chain", _prob_distribution)
-        mk("over", 1, f"over(f)(mu) = join of alpha with mu(f_alpha) > {threshold}", _make_over(threshold))
-    else:
-        raise InputError(f"no standard liftings for functor {functor.name!r}")
+    for name, arity, formula, fn in functor.liftings(threshold):
+        reg.add(PredicateLifting(name, arity, functor, lat, formula, fn))
     return reg
 
 
@@ -176,11 +81,16 @@ def apply_lifting(lifting: PredicateLifting, n: int, args: Sequence, budget: int
     """Tabulate the lifted predicate over all of T(S) for |S| = n."""
     if len(args) != lifting.arity:
         raise InputError(f"{lifting.name} takes {lifting.arity} argument(s), got {len(args)}")
+    tables = [tuple(a.values if isinstance(a, FuzzySubset) else a) for a in args]
+    if any(len(t) != n or not all(type(v) is int and 0 <= v < lifting.lat.size for v in t)
+           for t in tables):
+        raise InputError(f"{lifting.name} arguments must be {n} carrier values below "
+                         f"{lifting.lat.size} each")
     F = lifting.functor
     size = F.fits(n, budget)
     if size is None:
         raise BudgetError(f"T-carrier for {lifting.name} over a {n}-element set", F.size_text(n), budget)
-    arg_fns = [tuple(int(v) for v in (a.values if isinstance(a, FuzzySubset) else a)).__getitem__ for a in args]
+    arg_fns = [t.__getitem__ for t in tables]
     return FuzzySubset(tuple(lifting.value_at(F.decode(n, x), arg_fns) for x in range(size)))
 
 

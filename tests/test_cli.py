@@ -97,6 +97,36 @@ def test_liftings_table(capsys):
     assert "diamond\tarity 1" in out
 
 
+POWERSET_ROWS = [("box", 1, "box(f)(X) = meet of f(x) over x in X"),
+                 ("diamond", 1, "diamond(f)(X) = join of f(x) over x in X")]
+FUZZYHOM_ROWS = [("box", 1, "box(f)(g) = meet over x of g(x) -> f(x)"),
+                 ("diamond", 1, "diamond(f)(g) = join over x of g(x) * f(x)")]
+PROB_ROW = ("prob", 1, "prob(f)(mu) = sum of f(x)*mu(x), floored onto the chain")
+
+
+@pytest.mark.parametrize("functor, threshold, rows", [
+    ("powerset", None, POWERSET_ROWS),
+    ("fuzzyhom", None, FUZZYHOM_ROWS),
+    ("neighborhood", None, [("box", 1, "box(f)(N) = N(f)")]),
+    ("selection", None, [("cond", 2, "cond(f,g)(s) = meet over x of s(f)(x) -> g(x)")]),
+    ("distribution:2", None,
+     [PROB_ROW, ("over", 1, "over(f)(mu) = join of alpha with mu(f_alpha) > 1/2")]),
+    ("distribution:2", "2/3",
+     [PROB_ROW, ("over", 1, "over(f)(mu) = join of alpha with mu(f_alpha) > 2/3")]),
+], ids=["powerset", "fuzzyhom", "neighborhood", "selection", "distribution",
+        "distribution-threshold"])
+def test_liftings_json_per_functor(capsys, tmp_path, functor, threshold, rows):
+    cfg = {"algebra": "lukasiewicz:3", "functor": functor, "propositions": ["p"]}
+    if threshold is not None:
+        cfg["threshold"] = threshold
+    code, out, _ = invoke(capsys, "--config", write_json(tmp_path, "cfg.json", cfg),
+                          "--json", "liftings")
+    assert code == 0
+    name = functor.split(":")[0]
+    assert json.loads(out) == {"liftings": [
+        {"name": n, "arity": a, "functor": name, "formula": f} for n, a, f in rows]}
+
+
 def test_validate_algebra_pass(capsys, tmp_path):
     path = write_json(tmp_path, "luk3.json", builtin_lattice("lukasiewicz", 3).to_dict())
     code, out, _ = invoke(capsys, "validate-algebra", path)

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmodal import (BudgetError, Distribution, FiniteSet, FuzzyHom, InputError,
-                     Neighborhood, Powerset, Selection, ValuationSet,
-                     builtin_lattice, check_functor_laws, make_functor,
-                     push_delta, t_morphism, t_object)
+from mvmodal import (BudgetError, Distribution, FuzzyHom, InputError, Neighborhood,
+                     Powerset, Selection, ValuationSet, builtin_lattice,
+                     check_functor_laws, make_functor, push_delta)
 from mvmodal.functors import digits_of, undigits
 
 BOOL = builtin_lattice("boolean", 2)
@@ -127,17 +126,6 @@ def test_map_table_matches_pointwise_push():
     for x in range(F.size(3)):
         expect = F.encode(2, push_delta(BOOL, F.decode(3, x), lambda e: f_table[e]))
         assert table[x] == expect
-
-
-def test_t_object_and_morphism_compose():
-    from mvmodal import FiniteMap
-
-    F = FuzzyHom(BOOL)
-    S = FiniteSet(2, str)
-    T = FiniteSet(3, str)
-    f = t_morphism(F, FiniteMap(S, T, (2, 0)))
-    assert f.dom.size == F.size(2) and f.cod.size == F.size(3)
-    assert t_object(F, S).size == F.size(2)
 
 
 # -- valuation sets -------------------------------------------------------------------

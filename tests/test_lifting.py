@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from mvmodal import (Distribution, FuzzyHom, InputError, Neighborhood, Powerset,
-                     PredicateLifting, Selection, apply_lifting, builtin_lattice,
-                     check_alpha_preservation, check_naturality, standard_liftings)
-from mvmodal.lifting import expected_truth, floor_to_chain
+from mvmodal import (Distribution, Functor, FuzzyHom, InputError, Neighborhood,
+                     Powerset, PredicateLifting, Selection, apply_lifting,
+                     builtin_lattice, check_alpha_preservation, check_naturality,
+                     standard_liftings)
+from mvmodal.functors import expected_truth, floor_to_chain
 
 BOOL = builtin_lattice("boolean", 2)
 L3 = builtin_lattice("lukasiewicz", 3)
@@ -25,6 +26,14 @@ def test_powerset_box_diamond_tables():
     # subsets of {0,1} in id order: {}, {0}, {1}, {0,1}
     assert apply_lifting(box, 2, [f]).values == (1, 0, 1, 0)
     assert apply_lifting(dia, 2, [f]).values == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("arg", [(1,), (0, 5), (1, 0, 1), (0.9, 1)],
+                         ids=["too-short", "outside-carrier", "too-long", "not-an-integer"])
+def test_apply_lifting_rejects_malformed_predicates(arg):
+    box = get(BOOL, Powerset(BOOL), "box")
+    with pytest.raises(InputError, match="2 carrier values below 2"):
+        apply_lifting(box, 2, [arg])
 
 
 def test_fuzzyhom_box_diamond_l3():
@@ -100,6 +109,14 @@ def test_distribution_liftings_need_chain_values():
     bare = load_algebra(tables)
     with pytest.raises(InputError):
         standard_liftings(bare, Distribution(bare, 2))
+
+
+def test_functor_without_liftings_has_no_standard_liftings():
+    class Bare(Functor):
+        name = "bare"
+
+    with pytest.raises(InputError, match="no standard liftings for functor 'bare'"):
+        standard_liftings(BOOL, Bare(BOOL))
 
 
 # -- naturality ------------------------------------------------------------------------
