@@ -2,8 +2,8 @@
 lattices: models and evaluators, the (pseudo-)terminal sequence, finite-model
 decision procedures, and mechanical checkers for the meta-theory."""
 
-from .algebra import (FuzzySubset, ResiduatedLattice, alpha_cut, builtin_lattice,
-                      family_leq_alpha, load_algebra, validate_lattice)
+from .algebra import (FuzzySubset, ResiduatedLattice, builtin_lattice, load_algebra,
+                      validate_lattice)
 from .decision import Verdict, consequence, lemma2_model, satisfiable, validity
 from .functors import (Distribution, Functor, FuzzyHom, Neighborhood, Powerset,
                        Selection, ValuationSet, check_functor_laws, make_functor,
@@ -23,7 +23,7 @@ from .semantics import (StageTower, StepEvaluator, TModel, check_lemma1,
                         sigma_k, sigma_states, step_consequence)
 from .session import Session, algebra_from_spec
 from .syntax import (Bin, Const, Formula, Modal, Prop, pretty, propositions_of,
-                     rank, subformulas, substitute, substitution_rank)
+                     rank, subformulas, substitute)
 
 __version__ = "0.1.0"
 
@@ -34,15 +34,15 @@ __all__ = [
     "Neighborhood", "ParseError", "Powerset", "PredicateLifting", "Prop",
     "ResiduatedLattice", "Selection", "Session", "StageTower",
     "StepEvaluator", "TModel", "ValidationReport", "ValuationSet", "Verdict",
-    "Violation", "algebra_from_spec", "alpha_cut", "apply_lifting",
+    "Violation", "algebra_from_spec", "apply_lifting",
     "builtin_lattice", "check_alpha_preservation", "check_derivation",
     "check_functor_laws", "check_lemma1", "check_naturality",
     "check_stage_coherence", "check_step_n_soundness", "check_truth_lemma",
     "consequence", "decide_ax_a", "eval_model", "eval_step",
-    "family_leq_alpha", "lemma2_model", "load_algebra", "load_axiom_set",
+    "lemma2_model", "load_algebra", "load_axiom_set",
     "load_derivation", "load_model", "make_functor", "model_consequence",
     "model_to_dict", "one_step_soundness_report", "parse_formula", "pretty",
     "propositions_of", "push_delta", "rank", "satisfiable", "sigma_k",
     "sigma_states", "standard_liftings", "step_consequence", "subformulas",
-    "substitute", "substitution_rank", "tokenize", "validate_lattice", "validity",
+    "substitute", "tokenize", "validate_lattice", "validity",
 ]

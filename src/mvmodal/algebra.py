@@ -20,8 +20,6 @@ __all__ = [
     "builtin_lattice",
     "load_algebra",
     "validate_lattice",
-    "alpha_cut",
-    "family_leq_alpha",
     "label_for_fraction",
 ]
 
@@ -99,9 +97,6 @@ class ResiduatedLattice:
 
     def leq(self, a: int, b: int) -> bool:
         return self._leq[a][b]
-
-    def is_chain(self) -> bool:
-        return all(self._leq[a][b] or self._leq[b][a] for a, b in product(range(self.size), repeat=2))
 
     def meet_many(self, xs: Iterable[int]) -> int:
         out, meet = self.top, self.meet
@@ -252,11 +247,11 @@ def validate_lattice(lat: ResiduatedLattice) -> ValidationReport:
         if witness is not None:
             report.fail(law, witness, *detail)
 
-    report.checked = 3 * k**3 + 12 * k * k + 2 * k
+    report.checked = sum(k**arity for _, arity, *_ in laws)
     return report
 
 
-# -- fuzzy subsets and cut families -------------------------------------------
+# -- fuzzy subsets ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -268,32 +263,9 @@ class FuzzySubset:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
-    @property
-    def domain_size(self) -> int:
-        return len(self.values)
-
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 
     def __iter__(self):
         return iter(self.values)
 
-
-def alpha_cut(lat: ResiduatedLattice, f, alpha: int) -> frozenset[int]:
-    """{x : f(x) >= alpha}, for f a FuzzySubset or a sequence of values."""
-    return frozenset(x for x, v in enumerate(f) if lat.leq(alpha, v))
-
-
-def family_leq_alpha(lat: ResiduatedLattice, fs, gs, alpha: int, domain_size: int) -> bool:
-    """Cut-family order: intersection of F-cuts inside union of G-cuts.
-
-    An empty F yields the full domain on the left; an empty G yields the
-    empty set on the right.
-    """
-    inter = set(range(domain_size))
-    for f in fs:
-        inter &= alpha_cut(lat, f, alpha)
-    union: set[int] = set()
-    for g in gs:
-        union |= alpha_cut(lat, g, alpha)
-    return inter <= union

@@ -17,11 +17,13 @@ The answer comes from the top-level types alone, so affirmative validity and
 consequence, and negative satisfiability, never touch stage n and are
 decided even when stage n is over budget. A negative validity or
 consequence, or a positive satisfiability, needs a witness: the first
-element of stage n in id order that realizes the deciding type, found by
-sweeping the stage, so an over-budget stage with such an answer is still
-refused. A satisfiability witness is re-checked through the model evaluator
-on the part of the canonical stage-n model it generates, so every "yes" comes
-with a concrete finite model.
+element of stage n in id order that realizes a deciding type. Stage ids are
+valuation-major, so that is the first valuation that starts such a type with
+the first T-component over stage n-1 that completes it, read off the
+stage-(n-1) columns of the modal arguments; stage n must still fit the
+budget. A satisfiability witness is re-checked through the model evaluator
+on the part of the canonical stage-n model it generates, so every "yes"
+comes with a concrete finite model.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from typing import Callable, Sequence
 
 from .functors import push_delta
 from .report import BudgetError, InputError
-from .semantics import StageTower, StepEvaluator, TModel, eval_model, level_plan, tabulate
+from .semantics import StageTower, TModel, eval_model, level_plan, stage_columns, tabulate
 from .session import Session
 from .syntax import Formula, Modal, Prop, rank, subformulas
 
@@ -63,6 +65,16 @@ def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
 # -- realized types ----------------------------------------------------------------
 
 
+def _lifted(session: Session, modals: list[Modal], column: dict, m: int, size: int):
+    """The value vectors of modals at x = 0, 1, ..., size-1 of T(m), in id
+    order; column[a] holds argument a's values over the m base elements."""
+    F = session.functor
+    reads = [(session.registry.get(M.name), [column[a].__getitem__ for a in M.args]) for M in modals]
+    for x in range(size):
+        d = F.decode(m, x)
+        yield tuple(lf.value_at(d, args) for lf, args in reads)
+
+
 def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
                    types: list[tuple], k: int) -> list[tuple]:
     """Distinct value vectors of the level-k modal nodes over T(types at level k-1)."""
@@ -71,25 +83,22 @@ def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
     size = F.fits(m, session.budget)
     if size is None:
         raise BudgetError(f"T(realized types at level {k - 1})", F.size_text(m), session.budget)
-    column = {f: tuple(t[i] for t in types).__getitem__ for i, f in enumerate(below)}
-    reads = [(session.registry.get(M.name), [column[a] for a in M.args]) for M in modals]
+    column = {f: tuple(t[i] for t in types) for i, f in enumerate(below)}
     every = session.lat.size ** len(modals)
     out: set[tuple] = set()
-    for x in range(size):
-        d = F.decode(m, x)
-        out.add(tuple(lf.value_at(d, args) for lf, args in reads))
+    for mv in _lifted(session, modals, column, m, size):
+        out.add(mv)
         if len(out) == every:
             break
     return sorted(out)
 
 
-def _realized_types(session: Session, formulas: Sequence[Formula], n: int) -> set[tuple]:
-    """The value vectors of `formulas` over the elements of stage n, exactly.
-
-    Level n evaluates the formulas; level k-1 evaluates the arguments of the
-    modal nodes that level k reaches without crossing a modality.
-    """
-    lat = session.lat
+def _realized_types(session: Session, formulas: Sequence[Formula], n: int
+                    ) -> tuple[list[str], list[Modal], dict[tuple, tuple]]:
+    """The realized types of stage n, exactly: the level-n proposition names
+    and modal nodes, and each realized (proposition vector, modal vector) pair
+    with the values of formulas there. Level n evaluates the formulas; level
+    k-1 the arguments of the modal nodes that level k reaches directly."""
     levels = level_plan(formulas)
     bottom = n - len(levels) + 1  # >= 0, since n >= rank
 
@@ -98,7 +107,7 @@ def _realized_types(session: Session, formulas: Sequence[Formula], n: int) -> se
     for k, (roots, nodes, modals) in enumerate(reversed(levels), start=bottom):
         props = sorted({f.name for f in nodes if isinstance(f, Prop)})
         # valuations range over all of Hom(P, A), so every prop vector occurs
-        prop_vecs = list(product(range(lat.size), repeat=len(props)))
+        prop_vecs = list(product(range(session.lat.size), repeat=len(props)))
         modal_vecs = _modal_vectors(session, modals, below, types, k) if modals else [()]
         if len(prop_vecs) * len(modal_vecs) > session.budget:
             raise BudgetError(f"realized types at level {k}",
@@ -115,8 +124,7 @@ def _realized_types(session: Session, formulas: Sequence[Formula], n: int) -> se
         col = tabulate(session, roots, len(pairs), leaf)
         types = sorted(set(zip(*(col[f] for f in roots))))
         below = roots
-    index = {f: i for i, f in enumerate(below)}
-    return {tuple(t[index[f]] for f in formulas) for t in types}
+    return props, modals, dict(zip(pairs, zip(*(col[f] for f in formulas))))
 
 
 # -- witnesses -----------------------------------------------------------------------
@@ -125,30 +133,38 @@ def _realized_types(session: Session, formulas: Sequence[Formula], n: int) -> se
 def _witness(session: Session, tower: StageTower, n: int, formulas: Sequence[Formula],
              holds: Callable[[Callable[[Formula], int]], bool]) -> dict | None:
     """The first element of stage n, in id order, on which holds(value) is
-    true, decoded with the values of every subformula of formulas.
-
-    None when no realized type satisfies holds; stage n is then never built.
-    """
-    types = _realized_types(session, formulas, n)
-    if not any(holds(dict(zip(formulas, v)).__getitem__) for v in types):
+    true, with the values there of every subformula of formulas; None when
+    no realized type satisfies holds, and stage n is then never sized."""
+    props, modals, types = _realized_types(session, formulas, n)
+    sat = {v for v in set(types.values()) if holds(dict(zip(formulas, v)).__getitem__)}
+    good = {pair for pair, v in types.items() if v in sat}
+    if not good:
         return None
-    ev = StepEvaluator(session)
-    for t in range(tower.size(n)):
-        elem = tower.decode_full(n, t)
-        if holds(lambda f: ev.value(f, n, elem)):
-            values: dict[str, str] = {}
-            for f in formulas:
-                for sub in subformulas(f):
-                    values[session.pretty(sub)] = session.lat.label(ev.value(sub, n, elem))
-            return {
-                "stage": n,
-                "element": t,
-                "description": tower.describe(n, t),
-                "values": dict(sorted(values.items())),
-            }
-    raise RuntimeError(
-        f"internal coherence failure: a realized type at stage {n} has no stage element"
-    )
+    vals, pidx = session.valuations, {p: i for i, p in enumerate(session.propositions)}
+    step = tower.size(n) // vals.size  # |T(stage n-1)|; 1 at stage 0
+    subs = list(dict.fromkeys(g for f in formulas for g in subformulas(f)))
+    args = [a for g in subs if isinstance(g, Modal) for a in g.args]
+    below = stage_columns(session, tower, args, n - 1) if modals else {}
+    lifted = _lifted(session, modals, below, tower.size(n - 1), step) if modals else [()]
+    starts = {pv for pv, _ in good}
+    vecs = (tuple(vals.value(nu, pidx[p]) for p in props) for nu in range(vals.size))
+    try:
+        nu, pv = next((nu, pv) for nu, pv in enumerate(vecs) if pv in starts)
+        x = next(x for x, mv in enumerate(lifted) if (pv, mv) in good)
+    except StopIteration:
+        raise RuntimeError(f"internal coherence failure: a realized type at stage {n} "
+                           "has no stage element") from None
+    d = session.functor.decode(tower.size(n - 1), x) if modals else None
+
+    def leaf(f: Formula) -> list[int]:
+        if isinstance(f, Prop):
+            return [vals.value(nu, pidx[f.name])]
+        return [session.registry.get(f.name).value_at(d, [below[a].__getitem__ for a in f.args])]
+
+    col = tabulate(session, subs, 1, leaf)
+    t = nu * step + x
+    values = sorted((session.pretty(f), session.lat.label(col[f][0])) for f in subs)
+    return {"stage": n, "element": t, "description": tower.describe(n, t), "values": dict(values)}
 
 
 def validity(session: Session, phi: Formula, n: int | None = None,
@@ -228,8 +244,6 @@ def satisfiable(session: Session, phi: Formula, n: int | None = None,
     t = witness["element"]
     model_val = eval_model(session, _generated_model(session, tower, n, t), phi)[0]
     if model_val != top:
-        raise RuntimeError(
-            f"internal coherence failure: stage witness {t} evaluates to "
-            f"{session.lat.label(model_val)} on the canonical model"
-        )
+        raise RuntimeError(f"internal coherence failure: stage witness {t} evaluates to "
+                           f"{session.lat.label(model_val)} on the canonical model")
     return Verdict(True, "satisfiable", n, witness)

@@ -605,6 +605,8 @@ def check_functor_laws(F: Functor, bound: int = 2, budget: int = 10**6) -> Valid
     Carrier sizes whose T-image exceeds the budget are listed as skipped, so
     the result is a bounded certificate over the in-budget fragment.
     """
+    if bound < 0:
+        raise InputError(f"functor-law bound must be >= 0, got {bound}")
     report = ValidationReport(subject=f"functor laws: {F.name}")
     tsize: dict[int, int | None] = {n: F.fits(n, budget) for n in range(bound + 1)}
 

@@ -147,6 +147,8 @@ def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: i
     if lifting.arity != 1:
         raise InputError(f"alpha-preservation is defined for unary liftings; {lifting.name} is {lifting.arity}-ary")
     lat, F = lifting.lat, lifting.functor
+    if not 0 <= alpha < lat.size:
+        raise InputError(f"alpha {alpha} is outside the carrier 0..{lat.size - 1}")
     g_high = family_bound if g_family_bound is None else g_family_bound
     for what, value in (("set bound", set_bound), ("family bound", family_bound),
                         ("G family bound", g_high)):

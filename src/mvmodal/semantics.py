@@ -5,14 +5,14 @@ session's tables, given the columns of the propositions and modal nodes. Its
 callers differ only in where those leaf columns come from: the model
 evaluator (over a model's states), the level walk ``stage_columns`` (over the
 ids of a stage, behind ``eval_step``, ``step_consequence``,
-``check_stage_coherence`` and the proof kit, or over a model's hash-consed
-stage images ``ModelImages``, behind ``check_truth_lemma``), the realized-type
-deciders and the surrogate oracle. ``refutation`` reads local consequence off
-such columns for ``model_consequence``, ``step_consequence``, the surrogate
-oracle ``decide_ax_a`` and the step-n soundness sweep. ``StepEvaluator`` reads
-the same semantics pointwise on decoded stage elements for the witness search
-behind ``validity``, ``consequence`` and ``satisfiable``, which stops at the
-first witness.
+``check_stage_coherence``, the proof kit and the deciders' witnesses, or over
+a model's hash-consed stage images ``ModelImages``, behind
+``check_truth_lemma``), the realized-type deciders and the surrogate oracle.
+``refutation`` reads local consequence off such columns for
+``model_consequence``, ``step_consequence``, the surrogate oracle
+``decide_ax_a`` and the step-n soundness sweep. ``StepEvaluator``, which
+reads the same semantics pointwise on nested stage elements
+(``decode_full``), has no library caller; it is kept as a test reference.
 """
 from __future__ import annotations
 
@@ -362,9 +362,9 @@ class StageTower:
 
 
 class StepEvaluator:
-    """Stage-indexed semantics on decoded stage elements, evaluated lazily
-    and memoised per (formula, level, element). Its one library caller is the
-    witness search decision._witness; the truth lemma walks ModelImages."""
+    """Stage-indexed semantics on nested stage elements (decode_full),
+    evaluated lazily and memoised per (formula, level, element). No library
+    code calls it; tests use it as a pointwise reference for the columns."""
 
     def __init__(self, session: Session):
         self.s = session
@@ -479,6 +479,8 @@ class ModelImages:
 def sigma_k(session: Session, model: TModel, k: int, tower: StageTower | None = None) -> list[int]:
     """Stage-k approximation map as ids (stage k must be encodable), one
     encode per distinct image."""
+    if k < 0:
+        raise InputError(f"stage index {k} is negative")
     tower, F, images = tower or StageTower(session), session.functor, ModelImages(session, model, k)
     for j in range(k - 1, -1, -1):  # refuse in encode_full's order
         tower._guard_encode(j)

@@ -23,7 +23,6 @@ __all__ = [
     "subformulas",
     "propositions_of",
     "substitute",
-    "substitution_rank",
     "pretty",
 ]
 
@@ -110,11 +109,6 @@ def substitute(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     if isinstance(phi, Bin):
         return Bin(phi.op, substitute(phi.left, mapping), substitute(phi.right, mapping))
     return Modal(phi.name, tuple(substitute(a, mapping) for a in phi.args))
-
-
-def substitution_rank(mapping: Mapping[str, Formula]) -> int:
-    """Largest rank among the substituted images (0 for the empty map)."""
-    return max((rank(f) for f in mapping.values()), default=0)
 
 
 # -- printing ------------------------------------------------------------------

@@ -40,6 +40,14 @@ FAULTS = [
     ("goedel", 4, "join", (0, 0), 1),
 ]
 
+# validator law order with each law's arity
+LAWS = [("join-commutative", 2), ("meet-commutative", 2), ("mono-commutative", 2),
+        ("join-idempotent", 1), ("meet-idempotent", 1), ("join-associative", 3),
+        ("meet-associative", 3), ("mono-associative", 3), ("absorption-join", 2),
+        ("absorption-meet", 2), ("order-consistency", 2), ("bot-join-identity", 1),
+        ("top-meet-identity", 1), ("bot-least", 1), ("integrality", 1), ("mono-unit-top", 1),
+        ("residuation", 3)]
+
 
 def _violates(lat, law: str, w: tuple) -> bool:
     """Independent re-check that the reported witness falsifies the reported law."""
@@ -83,7 +91,7 @@ def test_c01_algebra_laws_pass_and_faults_give_correct_witnesses():
         lat = builtin_lattice(kind, k)
         report = validate_lattice(lat)
         assert report.ok and report.complete
-        assert report.checked == 3 * k**3 + 12 * k * k + 2 * k
+        assert report.checked == sum(k**arity for _, arity in LAWS)
     for kind, k, table, cell, wrong in FAULTS:
         data = builtin_lattice(kind, k).to_dict()
         a, b = cell

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from mvmodal import (BudgetError, Const, InputError, StageTower, consequence,
-                     eval_model, eval_step, lemma2_model, model_to_dict, rank,
-                     satisfiable, step_consequence, validity)
+from mvmodal import (BudgetError, Const, InputError, Modal, StageTower, StepEvaluator,
+                     consequence, eval_model, eval_step, lemma2_model, model_to_dict,
+                     rank, satisfiable, step_consequence, subformulas, validity)
 from mvmodal.decision import _generated_model, _realized_types
 from conftest import make_session, random_formula
 from modelsearch import (oracle_finds_satisfying, oracle_refutes_validity,
@@ -151,14 +151,10 @@ def test_verdict_to_dict_shape(boolean_ps):
 FUNCTORS = ("powerset", "fuzzyhom", "neighborhood", "selection", "distribution:2")
 
 
-@pytest.mark.parametrize("functor", FUNCTORS)
-@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
-def test_realized_types_agree_with_full_stage_sweep(algebra, functor):
-    s = make_session(algebra=algebra, functor=functor, propositions=("p",))
+def differential_pool(s, tower, algebra, functor):
+    """Seeded pairs (phi, psi) of rank <= 2 over the session, each with the
+    least stage n that decides both, where stage n is in budget."""
     rng = random.Random(f"realized:{algebra}:{functor}")
-    tower = StageTower(s)
-    bot = Const(s.lat.bot)
-    disagreements, compared = [], 0
     for _ in range(60):
         phi, psi = random_formula(s, rng, max_rank=2), random_formula(s, rng, max_rank=2)
         n = max(rank(phi), rank(psi))
@@ -166,9 +162,20 @@ def test_realized_types_agree_with_full_stage_sweep(algebra, functor):
             tower.size(n)
         except BudgetError:
             continue
+        yield phi, psi, n
+
+
+@pytest.mark.parametrize("functor", FUNCTORS)
+@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
+def test_realized_types_agree_with_full_stage_sweep(algebra, functor):
+    s = make_session(algebra=algebra, functor=functor, propositions=("p",))
+    tower = StageTower(s)
+    bot = Const(s.lat.bot)
+    disagreements, compared = [], 0
+    for phi, psi, n in differential_pool(s, tower, algebra, functor):
         compared += 1
         swept = set(zip(eval_step(s, phi, n, tower).values, eval_step(s, psi, n, tower).values))
-        if _realized_types(s, [phi, psi], n) != swept:
+        if set(_realized_types(s, [phi, psi], n)[2].values()) != swept:
             disagreements.append((s.pretty(phi), s.pretty(psi)))
         for verdict, (holds, first) in (
                 (validity(s, psi, n), step_consequence(s, [], psi, n, tower)),
@@ -216,3 +223,68 @@ def test_generated_model_keeps_the_root_value(functor):
         sub = _generated_model(s, tower, 1, t)
         assert sub.n_states <= full.n_states
         assert [eval_model(s, sub, phi)[0] for phi in formulas] == [v[t] for v in full_values], t
+
+
+def nested_witness(session, tower, n, formulas, holds):
+    """The witness search that decision._witness replaced, kept as its oracle:
+    sweep stage n in id order on nested elements (decode_full) and evaluate
+    them pointwise (StepEvaluator)."""
+    types = set(_realized_types(session, formulas, n)[2].values())
+    if not any(holds(dict(zip(formulas, v)).__getitem__) for v in types):
+        return None
+    ev = StepEvaluator(session)
+    for t in range(tower.size(n)):
+        elem = tower.decode_full(n, t)
+        if holds(lambda f: ev.value(f, n, elem)):
+            values = {}
+            for f in formulas:
+                for sub in subformulas(f):
+                    values[session.pretty(sub)] = session.lat.label(ev.value(sub, n, elem))
+            return {"stage": n, "element": t, "description": tower.describe(n, t),
+                    "values": dict(sorted(values.items()))}
+    raise AssertionError(f"a realized type at stage {n} has no stage element")
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the nested-element path was reached")
+
+
+@pytest.mark.parametrize("functor", FUNCTORS)
+@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
+def test_witnesses_match_nested_oracle_without_nested_elements(algebra, functor, monkeypatch):
+    """Whole witness dicts of validity, consequence and satisfiability on the
+    differential pool, at stage rank and one above it where that is small,
+    against the nested oracle; the library half runs with decode_full,
+    encode_full and StepEvaluator.value raising."""
+    s = make_session(algebra=algebra, functor=functor, propositions=("p",))
+    tower = StageTower(s)
+    top = s.lat.top
+    cases = []
+    for phi, psi, n in differential_pool(s, tower, algebra, functor):
+        stages = [n]
+        try:
+            if tower.size(n + 1) <= 2000:  # keeps the oracle's sweep short
+                stages.append(n + 1)
+        except BudgetError:
+            pass
+        for m in stages:
+            cases += [
+                (m, lambda m=m, psi=psi: validity(s, psi, m), [psi],
+                 lambda val, psi=psi: val(psi) != top),
+                (m, lambda m=m, phi=phi, psi=psi: consequence(s, [phi], psi, m), [phi, psi],
+                 lambda val, phi=phi, psi=psi: val(phi) == top and val(psi) != top),
+                (m, lambda m=m, phi=phi: satisfiable(s, phi, m), [phi],
+                 lambda val, phi=phi: val(phi) == top),
+            ]
+    want = [nested_witness(s, tower, m, formulas, holds) for m, _, formulas, holds in cases]
+    for name in ("decode_full", "encode_full"):
+        monkeypatch.setattr(StageTower, name, _raise)
+    monkeypatch.setattr(StepEvaluator, "value", _raise)
+    got = [decide().witness for _, decide, _, _ in cases]
+    assert got == want
+    witnessed = [(m, formulas) for (m, _, formulas, _), w in zip(cases, want) if w]
+    top_stage = max(case[0] for case in cases)
+    assert any(m > max(map(rank, formulas)) for m, formulas in witnessed) or top_stage == 0
+    # a modal subformula under a modality, wherever stage 2 is in budget
+    assert top_stage < 2 or any(isinstance(g, Modal) and rank(g) > 1 for _, formulas in witnessed
+                                for f in formulas for g in subformulas(f))

@@ -108,6 +108,11 @@ def test_functor_laws_l3_with_budget_skips():
     assert report.skipped  # Hom(HS,HS) for |S|=2 over three values is out of budget
 
 
+def test_functor_laws_refuse_negative_bound():
+    with pytest.raises(InputError, match="bound must be >= 0"):
+        check_functor_laws(Powerset(BOOL), bound=-1)  # would pass with 0 cases checked
+
+
 # -- size guards ---------------------------------------------------------------------
 
 

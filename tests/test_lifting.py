@@ -172,6 +172,13 @@ def test_preservation_rejects_non_unary():
         check_alpha_preservation(cond, L3.top)
 
 
+def test_preservation_refuses_alpha_outside_carrier():
+    box = get(BOOL, Powerset(BOOL), "box")
+    for alpha in (7, BOOL.size, -1):
+        with pytest.raises(InputError, match="outside the carrier"):
+            check_alpha_preservation(box, alpha)
+
+
 def test_diamond_preserves_bot_cut():
     dia = get(L3, Powerset(L3), "diamond")
     report = check_alpha_preservation(dia, L3.bot, set_bound=2, family_bound=1)

@@ -262,6 +262,12 @@ def test_sigma_k_matches_nested_encoding(functor):
     assert {0, 1} <= encoded
 
 
+def test_sigma_k_refuses_negative_stage(boolean_ps1):
+    m = lemma2_model(boolean_ps1, 0)
+    with pytest.raises(InputError, match="negative"):
+        sigma_k(boolean_ps1, m, -1)
+
+
 @pytest.mark.parametrize("functor", FUNCTORS)
 def test_truth_lemma_randomized(functor):
     rng = random.Random(hash(functor) % 10**6)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from mvmodal import (Bin, Const, Modal, ParseError, Prop, builtin_lattice,
                      parse_formula, pretty, propositions_of, rank, subformulas,
-                     substitute, substitution_rank, tokenize)
+                     substitute, tokenize)
 
 LAT = builtin_lattice("lukasiewicz", 3)
 PROPS = ("p", "q", "r")
@@ -113,12 +113,6 @@ def test_substitute_simultaneous():
     phi = parse("p -> q")
     rho = {"p": parse("q"), "q": parse("p")}
     assert substitute(phi, rho) == parse("q -> p")
-
-
-def test_substitution_rank():
-    assert substitution_rank({}) == 0
-    assert substitution_rank({"p": parse("q & q")}) == 0
-    assert substitution_rank({"p": parse("box(q)"), "q": parse("p")}) == 1
 
 
 def test_propositions_of():
