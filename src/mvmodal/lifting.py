@@ -134,6 +134,13 @@ def check_naturality(lifting: PredicateLifting, bound: int = 2, budget: int = 10
     return report
 
 
+def _intersection(full: int, cut: dict, family) -> int:
+    """Bitmask meet of the cut sets of a family; the empty family gives full."""
+    for fv in family:
+        full &= cut[fv]
+    return full
+
+
 def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: int = 2,
                              family_bound: int = 2, g_family_bound: int | None = None,
                              budget: int = 10**6) -> ValidationReport:
@@ -176,21 +183,9 @@ def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: i
             table = apply_lifting(lifting, n, [fv], budget)
             lift_cut[fv] = sum(1 << t for t, v in enumerate(table) if lat.leq(alpha, v))
 
-        def inter(family):
-            out = dom_full
-            for fv in family:
-                out &= dom_cut[fv]
-            return out
-
-        def inter_l(family):
-            out = lift_full
-            for fv in family:
-                out &= lift_cut[fv]
-            return out
-
         for fsize in range(family_bound + 1):
             for fam_f in combinations(subsets, fsize):
-                fi, li = inter(fam_f), inter_l(fam_f)
+                fi, li = _intersection(dom_full, dom_cut, fam_f), _intersection(lift_full, lift_cut, fam_f)
                 for gsize in range(1, g_high + 1):
                     for fam_g in combinations(subsets, gsize):
                         gu = gl = 0

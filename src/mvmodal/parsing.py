@@ -1,12 +1,13 @@
 """Lexer and recursive-descent parser for the formula surface syntax.
 
-Binding strength, tightest first:  &  then  /\\  then  |  then  ->  (right
-associative).  a <-> b is sugar for (a -> b) /\\ (b -> a) and does not chain.
-Constants are numerals ("0.5", "1/3") or canonical c{index}; bare identifiers
-are declared propositions; identifiers applied to arguments are modalities.
-Parentheses, modal applications and connectives nest at most MAX_NESTING
-deep, so no input can exhaust the recursion of the parser or of the
-structural functions downstream.
+Tokens, binding strengths and associativity come from syntax.CONNECTIVES.
+The left-associative connectives are parsed by one precedence-climbing loop;
+the right-associative implication and the non-chaining biconditional sit on
+top of it. Constants are numerals (a label or an exact value) or canonical
+c{index}; bare identifiers are declared propositions; identifiers applied to
+arguments are modalities. Parentheses, modal applications and connectives
+nest at most MAX_NESTING deep, so no input can exhaust the recursion of the
+parser or of the structural functions downstream.
 """
 from __future__ import annotations
 
@@ -16,15 +17,18 @@ from typing import Mapping, Sequence
 
 from .algebra import ResiduatedLattice
 from .report import InputError
-from .syntax import Bin, Const, Formula, Modal, Prop
+from .syntax import CONNECTIVES, CONST_INDEX, IDENT, IFF, NUMERAL, Bin, Const, Formula, Modal, Prop
 
 __all__ = ["MAX_NESTING", "ParseError", "parse_formula", "tokenize"]
 
 MAX_NESTING = 100
 
-_CINDEX = re.compile(r"^c(\d+)$")
-_IDENT_START = re.compile(r"[A-Za-z_]")
-IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_IMP = CONNECTIVES["imp"]
+_LEFT = {c.symbol: c for c in CONNECTIVES.values() if not c.right_assoc}
+# longest symbol first, since the regex alternation takes the first that matches
+_PUNCT = sorted([c.symbol for c in CONNECTIVES.values()] + [IFF, "(", ")", ","], key=len, reverse=True)
+_TOKEN = re.compile(rf"(?P<numeral>{NUMERAL.pattern})|(?P<ident>{IDENT.pattern})"
+                    rf"|(?P<punct>{'|'.join(map(re.escape, _PUNCT))})|\s+")
 
 
 class ParseError(InputError):
@@ -43,46 +47,14 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(Token("<->", "<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            tokens.append(Token("->", "->", i))
-            i += 2
-        elif text.startswith("/\\", i):
-            tokens.append(Token("/\\", "/\\", i))
-            i += 2
-        elif ch in "|&(),":
-            tokens.append(Token(ch, ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            # a slash continues the numeral only when a digit follows,
-            # so "1/\p" still lexes as 1, /\, p
-            elif j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("numeral", text[i:j], i))
-            i = j
-        elif _IDENT_START.match(ch):
-            m = IDENT.match(text, i)
-            tokens.append(Token("ident", m.group(0), i))
-            i = m.end()
-        else:
-            raise ParseError(f"unexpected character {ch!r}", text, i)
+    i = 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", text, i)
+        if m.lastgroup:  # None for whitespace
+            tokens.append(Token(m[0] if m.lastgroup == "punct" else m.lastgroup, m[0], i))
+        i = m.end()
     return tokens
 
 
@@ -95,7 +67,7 @@ class _Parser:
         self.lattice = lattice
         self.props = set(propositions)
         self.modalities = dict(modalities)
-        self.depth = 0  # groups, modal applications and -> operands open here
+        self.depth = 0  # groups, modal applications and implication operands open here
 
     def _peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -138,35 +110,22 @@ class _Parser:
             self.depth -= 1
 
     def implication(self) -> Formula:
-        left = self.disjunct()
-        if self._at("->"):
+        left = self.binary(0)
+        if self._at(_IMP.symbol):
             tok = self._next()
             return Bin("imp", left, self._nested(self.implication, tok.pos))
-        if self._at("<->"):
+        if self._at(IFF):
             self._next()
-            right = self.disjunct()
+            right = self.binary(0)
             return Bin("and", Bin("imp", left, right), Bin("imp", right, left))
         return left
 
-    def disjunct(self) -> Formula:
-        phi = self.conjunct()
-        while self._at("|"):
-            self._next()
-            phi = Bin("or", phi, self.conjunct())
-        return phi
-
-    def conjunct(self) -> Formula:
-        phi = self.fused()
-        while self._at("/\\"):
-            self._next()
-            phi = Bin("and", phi, self.fused())
-        return phi
-
-    def fused(self) -> Formula:
+    def binary(self, min_prec: int) -> Formula:
+        """Left-associative connectives binding at least as tight as min_prec."""
         phi = self.atom()
-        while self._at("&"):
+        while (tok := self._peek()) and (c := _LEFT.get(tok.kind)) and c.prec >= min_prec:
             self._next()
-            phi = Bin("fuse", phi, self.atom())
+            phi = Bin(c.tag, phi, self.binary(c.prec + 1))
         return phi
 
     def atom(self) -> Formula:
@@ -192,7 +151,7 @@ class _Parser:
                     raise ParseError(f"modality {tok.text!r} takes {arity} argument(s), got {len(args)}",
                                      self.text, tok.pos)
                 return Modal(tok.text, tuple(args))
-            m = _CINDEX.match(tok.text)
+            m = CONST_INDEX.fullmatch(tok.text)
             if m and tok.text not in self.props:
                 idx = int(m.group(1))
                 if idx >= self.lattice.size:

@@ -9,16 +9,14 @@ from pathlib import Path
 from .algebra import ResiduatedLattice, Table, builtin_lattice, load_algebra
 from .functors import Functor, ValuationSet, make_functor
 from .lifting import LiftingRegistry, standard_liftings
-from .parsing import IDENT, parse_formula
+from .parsing import parse_formula
 from .report import InputError, as_int, read_json
-from .syntax import BIN_OPS, Const, Formula, Modal, Prop, pretty, subformulas
+from .syntax import CONNECTIVES, CONST_INDEX, IDENT, Const, Formula, Modal, Prop, pretty, subformulas
 
 __all__ = ["Session", "algebra_from_spec"]
 
 _BUILTIN = re.compile(r"^(boolean|lukasiewicz|goedel)(?::(\d+))?$")
-_CPAT = re.compile(r"^c\d+$")
 DEFAULT_BUDGET = 10**6
-_LATTICE_OPS = ("join", "meet", "mono", "impl")  # the lattice table of each of BIN_OPS
 
 
 def algebra_from_spec(spec) -> ResiduatedLattice:
@@ -50,7 +48,7 @@ class Session:
         for p in self.propositions:
             if not IDENT.fullmatch(p):
                 raise InputError(f"propositions must be identifiers the parser can read, got {p!r}")
-            if _CPAT.match(p):
+            if CONST_INDEX.fullmatch(p):
                 raise InputError(f"proposition name {p!r} collides with constant syntax")
         if len(set(self.propositions)) != len(self.propositions):
             raise InputError("duplicate proposition names")
@@ -59,7 +57,7 @@ class Session:
             if p in self.registry.liftings:
                 raise InputError(f"proposition name {p!r} collides with a modality")
         self.valuations = ValuationSet(self.propositions, self.lat.size)
-        self.tables = {op: getattr(self.lat, name) for op, name in zip(BIN_OPS, _LATTICE_OPS)}
+        self.tables = {op: getattr(self.lat, c.table) for op, c in CONNECTIVES.items()}
         if self.budget < 1:
             raise InputError("budget must be positive")
 

@@ -1,8 +1,10 @@
-"""Formula syntax: AST nodes, modal rank, substitution, printing.
+"""Formula syntax: the concrete-syntax table, AST nodes, modal rank,
+substitution, printing.
 
-Connective tags: "or" (lattice join), "and" (lattice meet), "fuse" (monoidal
-product), "imp" (residuum). The biconditional is surface syntax only and
-desugars to (a -> b) /\\ (b -> a) at parse time.
+CONNECTIVES declares each connective's tag, symbol, binding strength,
+associativity and lattice table for the lexer, the parser, the printer and
+Session.tables. The biconditional IFF is surface syntax only: it desugars to
+the meet of the two implications at parse time.
 """
 from __future__ import annotations
 
@@ -13,20 +15,33 @@ from typing import Mapping, Union
 from .report import InputError
 
 __all__ = [
-    "Formula",
-    "Const",
-    "Prop",
-    "Bin",
-    "Modal",
-    "BIN_OPS",
-    "rank",
-    "subformulas",
-    "propositions_of",
+    "BIN_OPS", "CONNECTIVES", "CONST_INDEX", "IDENT", "IFF", "NUMERAL", "Bin", "Connective",
+    "Const", "Formula", "Modal", "Prop", "pretty", "propositions_of", "rank", "subformulas",
     "substitute",
-    "pretty",
 ]
 
-BIN_OPS = ("or", "and", "fuse", "imp")
+
+@dataclass(frozen=True)
+class Connective:
+    tag: str
+    symbol: str
+    prec: int  # binding strength: a higher number binds tighter
+    right_assoc: bool
+    table: str  # the ResiduatedLattice table that evaluates it
+
+
+CONNECTIVES = {c.tag: c for c in (
+    Connective("or", "|", 1, False, "join"),
+    Connective("and", "/\\", 2, False, "meet"),
+    Connective("fuse", "&", 3, False, "mono"),
+    Connective("imp", "->", 0, True, "impl"),
+)}
+BIN_OPS = tuple(CONNECTIVES)  # this order fixes the realizer catalog of proofkit
+IFF = "<->"
+# a constant prints as its label only when NUMERAL matches all of the label
+NUMERAL = re.compile(r"\d+(?:\.\d+|/\d+)?")
+CONST_INDEX = re.compile(r"c(\d+)")  # c<index> names carrier element <index>
+IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 @dataclass(frozen=True)
@@ -113,22 +128,16 @@ def substitute(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
 
 # -- printing ------------------------------------------------------------------
 
-_PREC = {"imp": 0, "or": 1, "and": 2, "fuse": 3}
-_SYMBOL = {"imp": "->", "or": "|", "and": "/\\", "fuse": "&"}
-_NUMERAL_OK = re.compile(r"^\d+(\.\d+)?(/\d+)?$")
-
 
 def pretty(phi: Formula, lattice=None) -> str:
     """Concrete syntax; parses back to the same tree under the same session.
 
-    Constants print as their numeral label when the lattice provides one,
-    else as c{index}.
+    Constants print as their label when it is a NUMERAL, else as c{index}.
     """
 
     def const_text(c: Const) -> str:
-        if lattice is not None and _NUMERAL_OK.match(lattice.label(c.value)):
-            return lattice.label(c.value)
-        return f"c{c.value}"
+        label = lattice.label(c.value) if lattice is not None else ""
+        return label if NUMERAL.fullmatch(label) else f"c{c.value}"
 
     def go(f: Formula, ctx: int) -> str:
         if isinstance(f, Const):
@@ -137,11 +146,9 @@ def pretty(phi: Formula, lattice=None) -> str:
             return f.name
         if isinstance(f, Modal):
             return f"{f.name}({', '.join(go(a, 0) for a in f.args)})"
-        prec = _PREC[f.op]
-        if f.op == "imp":  # right-associative
-            text = f"{go(f.left, prec + 1)} -> {go(f.right, prec)}"
-        else:  # left-associative
-            text = f"{go(f.left, prec)} {_SYMBOL[f.op]} {go(f.right, prec + 1)}"
-        return f"({text})" if prec < ctx else text
+        c = CONNECTIVES[f.op]
+        left, right = (c.prec + 1, c.prec) if c.right_assoc else (c.prec, c.prec + 1)
+        text = f"{go(f.left, left)} {c.symbol} {go(f.right, right)}"
+        return f"({text})" if c.prec < ctx else text
 
     return go(phi, 0)

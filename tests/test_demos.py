@@ -1,5 +1,6 @@
 """Each narrative demo runs to completion as a script and prints exactly its
-committed output, tests/golden/<demo>.out (the demos are seeded)."""
+committed output, tests/golden/<demo>.out (the demos are seeded); the README's
+Quick start snippet prints what the README says it prints."""
 import os
 import subprocess
 import sys
@@ -16,16 +17,16 @@ def test_all_six_demos_found():
     assert len(DEMOS) == 6
 
 
-def _run(demo: Path) -> subprocess.CompletedProcess:
+def _run(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    proc = _run(demo)
+    proc = _run(str(demo))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -35,6 +36,15 @@ def test_every_demo_has_a_golden_output():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_prints_golden_output(demo):
-    proc = _run(demo)
+    proc = _run(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{demo.stem}.out").read_text()
+
+
+def test_readme_quick_start_prints_documented_output():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = _run("-c", snippet)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['1', '0.5']\nFalse\n"

@@ -1,8 +1,11 @@
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmodal import (Bin, Const, Modal, ParseError, Prop, builtin_lattice,
+from mvmodal import (Bin, Const, Modal, ParseError, Prop, Session, builtin_lattice,
                      parse_formula, pretty, propositions_of, rank, subformulas,
                      substitute, tokenize)
 
@@ -90,6 +93,35 @@ def test_tokenize_snapshot():
     kinds = [(t.kind, t.text) for t in tokenize("box(p) <-> 1/2")]
     assert kinds == [("ident", "box"), ("(", "("), ("ident", "p"),
                      (")", ")"), ("<->", "<->"), ("numeral", "1/2")]
+    toks = tokenize(" cond(p_1, 0.5)|c12/\\7 & q\t-> 03 ")
+    assert [(t.kind, t.text, t.pos) for t in toks] == [
+        ("ident", "cond", 1), ("(", "(", 5), ("ident", "p_1", 6), (",", ",", 9),
+        ("numeral", "0.5", 11), (")", ")", 14), ("|", "|", 15), ("ident", "c12", 16),
+        ("/\\", "/\\", 19), ("numeral", "7", 21), ("&", "&", 23), ("ident", "q", 25),
+        ("->", "->", 27), ("numeral", "03", 30)]
+    assert tokenize("") == tokenize(" \n\t") == []
+
+
+def test_tokenize_numeral_slash_splits():
+    # a slash continues a numeral only before a digit; "1.5/3" is not one numeral
+    assert [t.text for t in tokenize("1/\\p")] == ["1", "/\\", "p"]
+    assert [t.text for t in tokenize("1/2/\\p")] == ["1/2", "/\\", "p"]
+    with pytest.raises(ParseError, match="unexpected character '/' at position 3"):
+        tokenize("1/2/3")
+    with pytest.raises(ParseError, match="unexpected character '/' at position 3"):
+        tokenize("1.5/3")
+
+
+@pytest.mark.parametrize("text, char, pos", [
+    ("p -> q $ r", "$", 7), ("p - q", "-", 2), ("p < q", "<", 2), ("p\\q", "\\", 1),
+    ("1.", ".", 1), ("p ²", "²", 2), ("²", "²", 0), ("1²", "²", 1),
+])
+def test_tokenize_reports_unlexable_character_and_position(text, char, pos):
+    # "²" passes str.isdigit() but is no decimal digit, so it starts no numeral
+    with pytest.raises(ParseError) as err:
+        tokenize(text)
+    assert str(err.value).startswith(f"unexpected character {char!r} at position {pos}:")
+    assert err.value.pos == pos
 
 
 # -- structure functions ------------------------------------------------------------
@@ -151,6 +183,46 @@ def test_pretty_parse_round_trip(phi):
 def test_substitution_rank_bound(phi, image):
     rho = {"p": image}
     assert rank(substitute(phi, rho)) <= rank(phi) + rank(image)
+
+
+def _session_with_labels(tmp_path, kind, k, labels, values=None):
+    data = builtin_lattice(kind, k).to_dict()
+    data["labels"] = labels
+    if values is not None:
+        data["values"] = values
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    return Session.from_config({"algebra": str(path), "propositions": ["p", "q"]})
+
+
+def _formula_pool(session, rng, count=300):
+    def gen(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            return rng.choice([Prop("p"), Prop("q"), Const(rng.randrange(session.lat.size))])
+        if r < 0.8:
+            return Bin(rng.choice(("or", "and", "fuse", "imp")), gen(depth - 1), gen(depth - 1))
+        return Modal(rng.choice(("box", "diamond")), (gen(depth - 1),))
+
+    return [gen(rng.randint(0, 4)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind, k, labels, values, printed", [
+    # a label that looks numeral-like but is no numeral prints as c<i>
+    ("lukasiewicz", 3, ["0", "1.5/3", "1"], None, ["0", "c1", "1"]),
+    # leading zeros are a numeral, resolved by label before value
+    ("goedel", 4, ["0", "05", "2/3", "1"], None, ["0", "05", "2/3", "1"]),
+    # labels permuted against the values: the label wins
+    ("lukasiewicz", 3, ["1", "0", "1/2"], ["0", "1/2", "1"], ["1", "0", "1/2"]),
+])
+def test_pretty_parse_round_trip_with_numeral_shaped_labels(tmp_path, kind, k, labels, values,
+                                                             printed):
+    session = _session_with_labels(tmp_path, kind, k, labels, values)
+    assert [session.pretty(Const(i)) for i in range(session.lat.size)] == printed
+    consts = [Const(i) for i in range(session.lat.size)]
+    for phi in consts + [Bin("imp", c, Prop("p")) for c in consts] + _formula_pool(
+            session, random.Random(14)):
+        assert session.parse(session.pretty(phi)) == phi, session.pretty(phi)
 
 
 def test_pretty_minimal_parentheses():
