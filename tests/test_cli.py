@@ -226,6 +226,55 @@ def test_check_axioms(capsys, tmp_path):
     assert "refuted" in out
 
 
+def check_axioms_json(capsys, tmp_path, cfg, axioms, n):
+    code, out, _ = invoke(capsys, "--config", write_json(tmp_path, "cfg.json", cfg), "--json",
+                          "check", "axioms", write_json(tmp_path, "ax.json", axioms),
+                          "--n", str(n))
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("conclusion,code", [("prob(c2)", 0), ("prob(c0)", 1)])
+def test_check_axioms_without_propositions_over_a_large_stage(capsys, tmp_path,
+                                                              conclusion, code):
+    """Stage 1 has 18 elements, so there are 3^18 stage-1 truth functions; an
+    axiom without propositions has one (empty) assignment and never lists them."""
+    cfg = {"algebra": "lukasiewicz:3", "functor": "distribution:2", "propositions": ["p"]}
+    got, report = check_axioms_json(capsys, tmp_path, cfg,
+                                    [{"name": "ax", "conclusion": conclusion}], 2)
+    assert got == code
+    if code == 0:
+        assert report["checked"] == 1
+    else:
+        (v,) = report["violations"]
+        assert v["detail"].startswith("refuted; axiom 'ax' fails at ")
+
+
+@pytest.mark.parametrize("functor,box", [("powerset", "box"), ("distribution:2", "prob")])
+def test_check_axioms_certifies_over_budget_sweeps(capsys, tmp_path, functor, box):
+    """K and monotonicity have (3^9)^2 stage-0 assignments on {p, q}, over the
+    sweep budget; the stage-1 certificate passes them and says they were not swept."""
+    cfg = {"algebra": "lukasiewicz:3", "functor": functor, "propositions": ["p", "q"]}
+    axioms = [{"name": "K", "premises": [f"{box}(p)", f"{box}(p -> q)"],
+               "conclusion": f"{box}(q)"},
+              {"name": "M", "premises": [f"{box}(p /\\ q)"], "conclusion": f"{box}(p)"}]
+    code, report = check_axioms_json(capsys, tmp_path, cfg, axioms, 1)
+    assert code == 0 and report["ok"] and report["checked"] == 2
+    assert report["notes"][:2] == [
+        f"axiom {name!r} certified on stage 1, not swept: its (3^9)^2 assignments "
+        "are over budget" for name in ("K", "M")]
+
+
+def test_check_axioms_refutes_over_budget_sweep_at_stage_one(capsys, tmp_path):
+    cfg = {"algebra": "lukasiewicz:3", "functor": "fuzzyhom", "propositions": ["p", "q"]}
+    axioms = [{"name": "K", "premises": ["box(p)", "box(p -> q)"], "conclusion": "box(q)"}]
+    code, report = check_axioms_json(capsys, tmp_path, cfg, axioms, 1)
+    assert code == 1
+    (v,) = report["violations"]
+    assert v["witness"] == ["K", "(('p', 'p'), ('q', 'q'))", 243]
+    assert v["detail"] == ("refuted; axiom 'K' fails at <p=0,q=0; fz{<p=0.5,q=0>:0.5}> "
+                           "under {'p': 'p', 'q': 'q'}")
+
+
 def test_check_derivation(capsys, tmp_path):
     tree = write_json(tmp_path, "ok.json", TREE_OK)
     code, out, _ = invoke(capsys, "check", "derivation", tree)

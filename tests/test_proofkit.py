@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from mvmodal import proofkit
-from mvmodal import (BudgetError, InputError, ModalAxiomSet, StageTower, StepEvaluator,
-                     ValidationReport, check_derivation, check_step_n_soundness,
-                     decide_ax_a, load_axiom_set, load_derivation,
-                     one_step_soundness_report)
+from mvmodal import (BudgetError, InputError, ModalAxiomSet, StageTower, check_derivation,
+                     check_step_n_soundness, consequence, decide_ax_a, load_axiom_set,
+                     load_derivation, one_step_soundness_report)
 from mvmodal.semantics import local_nodes
-from mvmodal.syntax import BIN_OPS, Bin, Const, Modal, Prop, propositions_of
+from mvmodal.syntax import Bin, Const, Modal, Prop, propositions_of
 from conftest import make_session, random_formula
+from oracles import first_failure, pointwise_soundness, sweep_soundness
 
 
 # -- an independent Lukasiewicz oracle for the surrogate consequence ---------------------
@@ -336,98 +336,6 @@ def test_one_step_report_empty_axioms_reduces_to_preservation(boolean_ps1):
 # -- the soundness sweep against the pointwise reference ------------------------------
 
 
-class AssignedEvaluator(StepEvaluator):
-    """Propositions read their assigned stage-(n-1) tables through encode_full,
-    composed with gamma_{n-1} on stage n."""
-
-    def __init__(self, session, tower, n, assigned):
-        super().__init__(session)
-        self.tower, self.n, self.assigned = tower, n, assigned
-
-    def value(self, phi, k, elem):
-        if isinstance(phi, Prop):
-            t = self.tower.encode_full(k, elem)
-            if k == self.n:
-                t = self.tower.gamma_table(self.n - 1)[t]
-            return self.assigned[phi.name][t]
-        return super().value(phi, k, elem)
-
-
-def pointwise_catalog(session, level, tower):
-    """Table -> first realizing formula on stage `level`: constants,
-    propositions and modal formulas evaluated pointwise on the decoded
-    elements, then closed under the connectives' tables."""
-    size = tower.size(level)
-    if session.lat.size ** size > proofkit._REALIZE_CAP:
-        return None
-    ev = StepEvaluator(session)
-    elems = [tower.decode_full(level, t) for t in range(size)]
-    catalog = {}
-
-    def add(phi):
-        catalog.setdefault(tuple(ev.value(phi, level, e) for e in elems), phi)
-
-    for i in range(session.lat.size):
-        add(Const(i))
-    for p in session.propositions:
-        add(Prop(p))
-    if level >= 1:
-        below = pointwise_catalog(session, level - 1, tower)
-        if below is None:
-            return None
-        for name, arity in session.registry.arities().items():
-            for combo in itertools.product(below.values(), repeat=arity):
-                add(Modal(name, combo))
-    while True:
-        snapshot, before = list(catalog.items()), len(catalog)
-        for (ta, fa), (tb, fb), op in itertools.product(snapshot, snapshot, BIN_OPS):
-            table = session.tables[op]
-            catalog.setdefault(tuple(table[a][b] for a, b in zip(ta, tb)), Bin(op, fa, fb))
-        if len(catalog) == before:
-            return catalog
-
-
-def pointwise_soundness(session, axioms, n):
-    """check_step_n_soundness element by element on decoded stage elements."""
-    tower = StageTower(session)
-    lat, top = session.lat, session.lat.top
-    report = ValidationReport(subject=f"step-{n} soundness")
-    tables = list(itertools.product(range(lat.size), repeat=tower.size(n - 1)))
-    catalog = False
-    for name, cons in axioms.axioms:
-        props = sorted(set().union(*map(propositions_of, cons.formulas())))
-        for combo in itertools.product(tables, repeat=len(props)):
-            assigned = dict(zip(props, combo))
-            ev = AssignedEvaluator(session, tower, n, assigned)
-            refuted = [t for t in range(tower.size(n))
-                       if all(ev.value(g, n, tower.decode_full(n, t)) == top for g in cons.premises)
-                       and ev.value(cons.conclusion, n, tower.decode_full(n, t)) != top]
-            if not refuted:
-                report.checked += 1
-                continue
-            if catalog is False:
-                catalog = pointwise_catalog(session, n - 1, tower)
-            realizers = {p: catalog.get(tab) for p, tab in assigned.items()} if catalog else {}
-            if catalog is None:
-                status = "inconclusive (realization search skipped: table space over cap)"
-            elif any(f is None for f in realizers.values()):
-                status = "inconclusive (counterexample assignment is not formula-denotable)"
-            else:
-                status = "refuted"
-            shown = {p: session.pretty(realizers[p]) if realizers.get(p) is not None
-                     else "/".join(lat.label(v) for v in tab) for p, tab in assigned.items()}
-            t = refuted[0]
-            report.fail("step-n-consequence", (name, tuple(sorted(shown.items())), t),
-                        f"{status}; axiom {name!r} fails at {tower.describe(n, t)}"
-                        + (f" under {shown}" if shown else ""))
-            break
-    if report.ok:
-        report.notes.append(
-            f"all stage-{n - 1} truth-function assignments checked; semantic assignments "
-            f"subsume syntactic substitutions, so the axiom set is step-{n} sound")
-    return report
-
-
 def random_axioms(session, rng, count):
     """Rank-1 axioms whose propositions occur both inside and outside modalities."""
     out = []
@@ -462,3 +370,63 @@ def test_step_n_soundness_matches_pointwise_sweep(functor, props, n):
         assert got == pointwise_soundness(s, single, n).to_dict(), cons.pretty(s)
         outcomes.add(got["ok"])
     assert outcomes == {True, False}
+
+
+# -- the stage-1 certificate against the sweep ------------------------------------------
+
+
+@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
+@pytest.mark.parametrize("functor", ["powerset", "fuzzyhom", "neighborhood", "selection",
+                                     "distribution:2"])
+def test_stage1_certificate_agrees_with_step1_sweep(algebra, functor):
+    """At n = 1 the propositions realize the projections, so the certificate
+    and the sweep decide each axiom alike, and the report is the sweep's.
+    Where stage 1 is over budget, both refuse."""
+    s = make_session(algebra=algebra, functor=functor, propositions=("p",))
+    axioms = random_axioms(s, random.Random(f"certificate:{algebra}:{functor}"), 12)
+    try:
+        StageTower(s).size(1)
+    except BudgetError:
+        with pytest.raises(BudgetError):
+            check_step_n_soundness(s, axioms, 1)
+        return
+    outcomes = set()
+    for name, cons in axioms.axioms:
+        single = ModalAxiomSet(((name, cons),))
+        swept = sweep_soundness(s, single, 1)
+        assert consequence(s, cons.premises, cons.conclusion, 1).answer == swept.ok, \
+            cons.pretty(s)
+        assert check_step_n_soundness(s, single, 1).to_dict() == swept.to_dict(), cons.pretty(s)
+        outcomes.add(swept.ok)
+    assert outcomes == {True, False}
+
+
+def test_stage1_certificate_implies_step2_soundness():
+    s = make_session(propositions=("p",))
+    certified = 0
+    for name, cons in random_axioms(s, random.Random("certificate:step2"), 12).axioms:
+        if consequence(s, cons.premises, cons.conclusion, 1).answer:
+            single = ModalAxiomSet(((name, cons),))
+            swept = sweep_soundness(s, single, 2)
+            assert swept.ok, cons.pretty(s)
+            assert check_step_n_soundness(s, single, 2).to_dict() == swept.to_dict()
+            certified += 1
+    assert certified >= 3
+
+
+K = {"name": "K", "premises": ["box(p)", "box(p -> q)"], "conclusion": "box(q)"}
+
+
+def test_step1_refutation_over_budget_is_the_identity_assignment():
+    """K fails the certificate on Lukasiewicz-3 fuzzy relations, and its
+    (3^9)^2 assignments are over budget: the report refutes it under p -> p,
+    q -> q at the first stage-1 element a sweep of that one assignment finds."""
+    s = make_session(algebra="lukasiewicz:3", functor="fuzzyhom")
+    report = check_step_n_soundness(s, load_axiom_set(s, [K]), 1)
+    assert not report.ok and report.checked == 0
+    (v,) = report.violations
+    assert v.witness == ("K", (("p", "p"), ("q", "q")), 243)
+    assert v.detail.startswith("refuted; axiom 'K' fails at ")
+    tower = StageTower(s)
+    identity = {p: tower.prop_column(0, p) for p in s.propositions}
+    assert first_failure(s, tower, load_axiom_set(s, [K]).get("K"), 1, identity) == 243
