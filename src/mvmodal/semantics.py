@@ -230,6 +230,8 @@ class StageTower:
             raise InputError(f"stage index {k} is negative")
         while len(self._sizes) <= k:
             m = len(self._sizes) - 1
+            if m and self._sizes[m] == self._sizes[m - 1]:
+                return self._sizes[m]  # a fixed point, as stage m+1's size is a function of m's
             t = self.s.functor.fits(self._sizes[m], self.s.budget)
             if t is None or t * self.s.valuations.size > self.s.budget:
                 text = f"{self.s.valuations.size}*{self.s.functor.size_text(self._sizes[m])}"
@@ -297,16 +299,25 @@ class StageTower:
         return [self.s.valuations.value(t // reps, i) for t in range(self.size(k))]
 
     def describe(self, k: int, t: int) -> str:
-        key = (k, t)
-        if key not in self._describe:
-            nu, form = self.decode1(k, t)
-            head = self.s.valuations.describe(nu, self.s.lat)
-            if k == 0:
-                self._describe[key] = f"<{head}>"
-            else:
-                body = self.s.functor.describe(form, lambda e: self.describe(k - 1, e))
-                self._describe[key] = f"<{head}; {body}>"
-        return self._describe[key]
+        """<valuation; T-component> of element t of stage k, the T-component's
+        leaves described at stage k-1. The undescribed elements it reads are
+        gathered top down and described bottom up, so depth costs no recursion."""
+        pending = []  # (level, {id: one-level decode}) of undescribed elements, top down
+        level, ids = k, {t}
+        while ids:
+            forms = {u: self.decode1(level, u) for u in ids if (level, u) not in self._describe}
+            pending.append((level, forms))
+            ids = set()
+            if level > 0:
+                for _, form in forms.values():
+                    self.s.functor.describe(form, lambda e: ids.add(e) or "")
+            level -= 1
+        for level, forms in reversed(pending):
+            for u, (nu, form) in forms.items():
+                body = "" if level == 0 else "; " + self.s.functor.describe(
+                    form, lambda e: self._describe[level - 1, e])
+                self._describe[level, u] = f"<{self.s.valuations.describe(nu, self.s.lat)}{body}>"
+        return self._describe[k, t]
 
     # section / projection tables ----------------------------------------------
 
@@ -334,28 +345,39 @@ class StageTower:
 
     def iota_table(self, k: int) -> list[int]:
         """Section stage k -> stage k+1 as ids (codomain ids may be bigints):
-        (nu, d) goes to (nu, T(iota_{k-1})(d))."""
-        if k not in self._iota:
+        (nu, d) goes to (nu, T(iota_{k-1})(d)). The missing levels are
+        guarded top down, then built bottom up from the level below, which is
+        built by then, so depth costs no recursion."""
+        top, todo = k, []
+        while k not in self._iota:
             if k == 0:
                 self._iota[k] = [nu * self.tsize(0) + self.iota0_id()
                                  for nu in range(self.s.valuations.size)]
-            else:
-                self._guard_encode(k)
-                self._iota[k] = self.up(self.iota_table(k - 1), k, k + 1)
-        return self._iota[k]
+                break
+            self._guard_encode(k)
+            todo.append(k)
+            k -= 1
+        for k in reversed(todo):
+            self._iota[k] = self.up(self.iota_table(k - 1), k, k + 1)
+        return self._iota[top]
 
     def gamma_table(self, k: int) -> list[int]:
         """Projection stage k+1 -> stage k as ids (stage k+1 must be in budget):
-        (nu, d) goes to nu at k = 0 and to (nu, T(gamma_{k-1})(d)) above."""
-        if k not in self._gamma:
+        (nu, d) goes to nu at k = 0 and to (nu, T(gamma_{k-1})(d)) above,
+        built as iota_table is."""
+        top, todo = k, []
+        while k not in self._gamma:
             self.size(k + 1)  # refuse an over-budget domain before building over it
             if k == 0:
                 self._gamma[k] = [nu for nu in range(self.s.valuations.size)
                                   for _ in range(self.tsize(0))]
-            else:
-                self._guard_encode(k - 1)
-                self._gamma[k] = self.up(self.gamma_table(k - 1), k + 1, k)
-        return self._gamma[k]
+                break
+            self._guard_encode(k - 1)
+            todo.append(k)
+            k -= 1
+        for k in reversed(todo):
+            self._gamma[k] = self.up(self.gamma_table(k - 1), k + 1, k)
+        return self._gamma[top]
 
 
 # -- step semantics ------------------------------------------------------------------
@@ -390,14 +412,13 @@ class StepEvaluator:
         return out
 
 
-def stage_columns(session: Session, tower: StageTower | ModelImages, roots: Sequence[Formula], n: int,
-                  prop: Callable[[str, int], Sequence[int]] | None = None
-                  ) -> dict[Formula, tuple[int, ...]]:
+def stage_columns(session: Session, tower: StageTower | ModelImages, roots: Sequence[Formula],
+                  n: int) -> dict[Formula, tuple[int, ...]]:
     """Value columns of roots and their local nodes over the level-n ids of
     tower (stage elements of a StageTower, or a model's distinct ModelImages),
     built bottom up along level_plan(roots). At level k a proposition's column
-    is prop(name, k) when given, else tower.prop_column(k, name), a modal node
-    lifts the level-(k-1) columns of its arguments, and tabulate does the rest."""
+    is tower.prop_column(k, name), a modal node lifts the level-(k-1) columns
+    of its arguments, and tabulate does the rest."""
     plan = level_plan(roots)
     bottom = n - len(plan) + 1
     if bottom < 0:
@@ -409,7 +430,7 @@ def stage_columns(session: Session, tower: StageTower | ModelImages, roots: Sequ
         def leaf(f: Formula) -> Sequence[int]:
             if not isinstance(f, Prop):
                 return tower.lift(k, f.name, [below[a] for a in f.args])
-            return tower.prop_column(k, f.name) if prop is None else prop(f.name, k)
+            return tower.prop_column(k, f.name)
 
         tabulate(session, level_roots, tower.size(k), leaf, col)
     return col

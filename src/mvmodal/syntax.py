@@ -36,7 +36,7 @@ CONNECTIVES = {c.tag: c for c in (
     Connective("fuse", "&", 3, False, "mono"),
     Connective("imp", "->", 0, True, "impl"),
 )}
-BIN_OPS = tuple(CONNECTIVES)  # this order fixes the realizer catalog of proofkit
+BIN_OPS = tuple(CONNECTIVES)
 IFF = "<->"
 # a constant prints as its label only when NUMERAL matches all of the label
 NUMERAL = re.compile(r"\d+(?:\.\d+|/\d+)?")

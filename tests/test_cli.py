@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,72 @@ def test_check_axioms_refutes_over_budget_sweep_at_stage_one(capsys, tmp_path):
     assert v["witness"] == ["K", "(('p', 'p'), ('q', 'q'))", 243]
     assert v["detail"] == ("refuted; axiom 'K' fails at <p=0,q=0; fz{<p=0.5,q=0>:0.5}> "
                            "under {'p': 'p', 'q': 'q'}")
+
+
+def test_check_axioms_refutes_under_the_identity_assignment(capsys, tmp_path):
+    """The failing assignment reported is p -> p, which every formula p
+    realizes, at the first stage-1 element where the axiom fails."""
+    cfg = {"algebra": "goedel:3", "functor": "fuzzyhom", "propositions": ["p"]}
+    axioms = [{"name": "collapse", "premises": ["diamond(p)"], "conclusion": "box(p)"}]
+    code, report = check_axioms_json(capsys, tmp_path, cfg, axioms, 1)
+    assert code == 1 and report["checked"] == 0
+    (v,) = report["violations"]
+    assert v["witness"] == ["collapse", "(('p', 'p'),)", 8]
+    assert v["detail"] == ("refuted; axiom 'collapse' fails at <p=0; fz{<p=0.5>:1, <p=1>:1}> "
+                           "under {'p': 'p'}")
+
+
+@pytest.mark.parametrize("n,element,description", [
+    (2, 15, "<p=0; ds{<p=1; ds{<p=0>:2/2}>:2/2}>"),
+    (3, 672, "<p=0; ds{<p=1; ds{<p=0; ds{<p=0>:2/2}>:2/2}>:2/2}>"),
+], ids=["n2", "n3"])
+def test_check_axioms_refutes_at_deeper_stages(capsys, tmp_path, n, element, description):
+    """At n = 3 the (2^42) stage-2 assignments are over budget, yet the axiom
+    is refuted under p -> p all the same."""
+    cfg = {"algebra": "boolean", "functor": "distribution:2", "propositions": ["p"]}
+    axioms = [{"name": "probp", "premises": ["prob(p)"], "conclusion": "p"}]
+    code, report = check_axioms_json(capsys, tmp_path, cfg, axioms, n)
+    assert code == 1
+    (v,) = report["violations"]
+    assert v["witness"] == ["probp", "(('p', 'p'),)", element]
+    assert v["detail"] == f"refuted; axiom 'probp' fails at {description} under {{'p': 'p'}}"
+
+
+CONSTANT_TOWER = {"algebra": "lukasiewicz:3", "functor": "distribution:2", "propositions": []}
+
+
+@pytest.mark.parametrize("argv,code,start", [
+    (["check", "lemma1", "1000"], 0, "tower sections at n=1000: pass, 1003 cases checked"),
+    (["stage", "200", "--dump"], 0, "1 elements\n0\t<-; ds{<-; ds{"),
+    (["check", "axioms", "{axioms}", "--n", "400"], 1,
+     "step-400 soundness: FAIL, 0 cases checked"),
+], ids=["lemma1", "dump", "axioms"])
+def test_deep_stages_of_a_constant_tower(capsys, tmp_path, argv, code, start):
+    """Every stage has one element, so deep stages fit the budget; building
+    their tables and descriptions must not recurse once per stage."""
+    cfg = write_json(tmp_path, "cfg.json", CONSTANT_TOWER)
+    axioms = write_json(tmp_path, "ax.json", [{"name": "bot", "conclusion": "prob(c0)"}])
+    got, out, err = invoke(capsys, "--config", cfg,
+                           *[a.replace("{axioms}", axioms) for a in argv])
+    assert (got, err) == (code, "")
+    assert out.startswith(start)
+
+
+def test_stage_size_of_a_constant_tower_is_answered_at_once(capsys, tmp_path):
+    """Sizing the stages one by one up to 10^12 would run for hours; the
+    alarm ends such a run as an error after 10 s."""
+    def late(*_):
+        raise TimeoutError("stage sizes were walked one by one")
+
+    cfg = write_json(tmp_path, "cfg.json", CONSTANT_TOWER)
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(10)
+    try:
+        code, out, _ = invoke(capsys, "--config", cfg, "stage", "1000000000000")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (0, "1 elements\n")
 
 
 def test_check_derivation(capsys, tmp_path):

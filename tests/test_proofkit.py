@@ -352,6 +352,26 @@ def random_axioms(session, rng, count):
     return ModalAxiomSet(tuple(out))
 
 
+def assert_matches_sweep(s, name, cons, n, swept):
+    """check_step_n_soundness on the one axiom against a sweep of all its
+    assignments: the same verdict; when it holds, the same count and notes;
+    when it fails, a refutation under p -> p at the first stage-n element
+    where that assignment fails."""
+    got = check_step_n_soundness(s, ModalAxiomSet(((name, cons),)), n)
+    assert got.ok == swept.ok, cons.pretty(s)
+    if got.ok:
+        assert (got.checked, got.notes) == (swept.checked, swept.notes), cons.pretty(s)
+        return
+    tower = StageTower(s)
+    props = sorted(set().union(*map(propositions_of, cons.formulas())))
+    identity = {p: tower.prop_column(n - 1, p) for p in props}
+    (v,) = got.violations
+    assert got.checked == 0
+    assert v.witness == (name, tuple((p, p) for p in props),
+                         first_failure(s, tower, cons, n, identity)), cons.pretty(s)
+    assert v.detail.startswith(f"refuted; axiom {name!r} fails at ")
+
+
 @pytest.mark.parametrize("functor,props,n", [
     ("powerset", ("p", "q"), 1),
     ("fuzzyhom", ("p", "q"), 1),
@@ -365,23 +385,21 @@ def test_step_n_soundness_matches_pointwise_sweep(functor, props, n):
     rng = random.Random(f"soundness:{functor}:{n}")
     outcomes = set()
     for name, cons in random_axioms(s, rng, 8 if n == 1 else 3).axioms:
-        single = ModalAxiomSet(((name, cons),))
-        got = check_step_n_soundness(s, single, n).to_dict()
-        assert got == pointwise_soundness(s, single, n).to_dict(), cons.pretty(s)
-        outcomes.add(got["ok"])
+        swept = pointwise_soundness(s, ModalAxiomSet(((name, cons),)), n)
+        assert_matches_sweep(s, name, cons, n, swept)
+        outcomes.add(swept.ok)
     assert outcomes == {True, False}
 
 
-# -- the stage-1 certificate against the sweep ------------------------------------------
+# -- the realized-type decision against the sweep -----------------------------------------
 
 
 @pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3"])
 @pytest.mark.parametrize("functor", ["powerset", "fuzzyhom", "neighborhood", "selection",
                                      "distribution:2"])
 def test_stage1_certificate_agrees_with_step1_sweep(algebra, functor):
-    """At n = 1 the propositions realize the projections, so the certificate
-    and the sweep decide each axiom alike, and the report is the sweep's.
-    Where stage 1 is over budget, both refuse."""
+    """At n = 1 the realized-type decider and the sweep decide each axiom
+    alike. Where stage 1 is over budget, both refuse."""
     s = make_session(algebra=algebra, functor=functor, propositions=("p",))
     axioms = random_axioms(s, random.Random(f"certificate:{algebra}:{functor}"), 12)
     try:
@@ -392,11 +410,10 @@ def test_stage1_certificate_agrees_with_step1_sweep(algebra, functor):
         return
     outcomes = set()
     for name, cons in axioms.axioms:
-        single = ModalAxiomSet(((name, cons),))
-        swept = sweep_soundness(s, single, 1)
+        swept = sweep_soundness(s, ModalAxiomSet(((name, cons),)), 1)
         assert consequence(s, cons.premises, cons.conclusion, 1).answer == swept.ok, \
             cons.pretty(s)
-        assert check_step_n_soundness(s, single, 1).to_dict() == swept.to_dict(), cons.pretty(s)
+        assert_matches_sweep(s, name, cons, 1, swept)
         outcomes.add(swept.ok)
     assert outcomes == {True, False}
 
@@ -406,12 +423,27 @@ def test_stage1_certificate_implies_step2_soundness():
     certified = 0
     for name, cons in random_axioms(s, random.Random("certificate:step2"), 12).axioms:
         if consequence(s, cons.premises, cons.conclusion, 1).answer:
-            single = ModalAxiomSet(((name, cons),))
-            swept = sweep_soundness(s, single, 2)
+            swept = sweep_soundness(s, ModalAxiomSet(((name, cons),)), 2)
             assert swept.ok, cons.pretty(s)
-            assert check_step_n_soundness(s, single, 2).to_dict() == swept.to_dict()
+            assert_matches_sweep(s, name, cons, 2, swept)
             certified += 1
     assert certified >= 3
+
+
+@pytest.mark.parametrize("functor", ["powerset", "fuzzyhom", "distribution:2"])
+def test_step2_decision_matches_sweep_both_ways(functor):
+    """A stage-2 consequence holds under every assignment of stage-1 tables,
+    and one that fails is refuted under p -> p: zero disagreements with the
+    sweep, either way."""
+    s = make_session(functor=functor, propositions=("p",))
+    outcomes = set()
+    for name, cons in random_axioms(s, random.Random(f"converse:step2:{functor}"), 10).axioms:
+        swept = sweep_soundness(s, ModalAxiomSet(((name, cons),)), 2)
+        assert consequence(s, cons.premises, cons.conclusion, 2).answer == swept.ok, \
+            cons.pretty(s)
+        assert_matches_sweep(s, name, cons, 2, swept)
+        outcomes.add(swept.ok)
+    assert outcomes == {True, False}
 
 
 K = {"name": "K", "premises": ["box(p)", "box(p -> q)"], "conclusion": "box(q)"}
