@@ -45,8 +45,6 @@ __all__ = [
     "sort_key",
     "digits_of",
     "undigits",
-    "expected_truth",
-    "floor_to_chain",
     "check_functor_laws",
 ]
 
@@ -95,7 +93,7 @@ def push_delta(lat: ResiduatedLattice, delta, f: Callable):
     of the codomain (ids or decoded stage elements alike).
     """
     if isinstance(delta, frozenset):
-        return frozenset(f(e) for e in delta)
+        return frozenset(map(f, delta))
     tag = delta[0]
     if tag == "fz":
         # direct image with joins: (Hf g)(y) = join of g over the fibre of y
@@ -220,11 +218,11 @@ class Functor:
 
 
 def _box_powerset(lat, F, delta, args):
-    return lat.meet_many(args[0](e) for e in delta)
+    return lat.meet_many(map(args[0], delta))
 
 
 def _diamond_powerset(lat, F, delta, args):
-    return lat.join_many(args[0](e) for e in delta)
+    return lat.join_many(map(args[0], delta))
 
 
 class Powerset(Functor):
@@ -455,28 +453,6 @@ class Selection(Functor):
         return [("cond", 2, "cond(f,g)(s) = meet over x of s(f)(x) -> g(x)", _cond_selection)]
 
 
-def expected_truth(lat: ResiduatedLattice, delta, argfn: Callable) -> Fraction:
-    """Exact expected truth value of the argument under a grid distribution."""
-    _, pairs, q = delta
-    total = Fraction(0)
-    for e, c in pairs:
-        total += lat.values[argfn(e)] * Fraction(c, q)
-    return total
-
-
-def floor_to_chain(lat: ResiduatedLattice, fr: Fraction) -> int:
-    """Largest carrier element whose value is <= fr."""
-    best = lat.bot
-    for i, v in enumerate(lat.values):
-        if v <= fr and v >= lat.values[best]:
-            best = i
-    return best
-
-
-def _prob_distribution(lat, F, delta, args):
-    return floor_to_chain(lat, expected_truth(lat, delta, args[0]))
-
-
 class Distribution(Functor):
     """Probability distributions restricted to the 1/q grid."""
 
@@ -539,6 +515,11 @@ class Distribution(Functor):
         return counts
 
     def liftings(self, threshold: Fraction) -> list[tuple]:
+        """prob(f)(mu) floors the expectation of f under mu onto the chain;
+        over(f)(mu) joins each alpha whose cut {x : alpha <= f(x)} has mass
+        above the threshold. Both run exactly on integers: the values are
+        scaled by D, the lcm of their denominators, so every comparison is the
+        rational one multiplied through by D*q or q*denominator(threshold)."""
         lat = self.lat
         if lat.values is None:
             raise InputError("distribution modalities needs a rational embedding: "
@@ -547,20 +528,37 @@ class Distribution(Functor):
             raise InputError("distribution modalities needs a chain with increasing values; "
                              f"{lat.name} is not")
 
-        def over(lat, F, delta, args):
+        scale = math.lcm(*(v.denominator for v in lat.values))
+        num = [v.numerator * (scale // v.denominator) for v in lat.values]  # values * D
+        up = [[a for a in range(lat.size) if lat.leq(a, b)] for b in range(lat.size)]
+        tn, td = threshold.numerator, threshold.denominator
+
+        def prob(lat, F, delta, args):
+            # the largest value <= total/(D*q), scanning from bot
             _, pairs, q = delta
+            f, total = args[0], 0
+            for e, c in pairs:
+                total += num[f(e)] * c
+            best = lat.bot
+            for i, v in enumerate(num):
+                if v * q <= total and v >= num[best]:
+                    best = i
+            return best
+
+        def over(lat, F, delta, args):
+            # mass[alpha] / q is mu of the cut {x : alpha <= f(x)}
+            _, pairs, q = delta
+            f, mass = args[0], [0] * lat.size
+            for e, c in pairs:
+                for a in up[f(e)]:
+                    mass[a] += c
             out = lat.bot
-            for alpha in range(lat.size):
-                mass = Fraction(0)
-                for e, c in pairs:
-                    if lat.leq(alpha, args[0](e)):
-                        mass += Fraction(c, q)
-                if mass > threshold:
+            for alpha, m in enumerate(mass):
+                if m * td > tn * q:
                     out = lat.join[out][alpha]
             return out
 
-        return [("prob", 1, "prob(f)(mu) = sum of f(x)*mu(x), floored onto the chain",
-                 _prob_distribution),
+        return [("prob", 1, "prob(f)(mu) = sum of f(x)*mu(x), floored onto the chain", prob),
                 ("over", 1, f"over(f)(mu) = join of alpha with mu(f_alpha) > {threshold}", over)]
 
 

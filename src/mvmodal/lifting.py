@@ -117,10 +117,10 @@ def check_naturality(lifting: PredicateLifting, bound: int = 2, budget: int = 10
             for f in product(range(b), repeat=a):
                 pushed = [push_delta(lat, d, lambda e: f[e]) for d in deltas]
                 for hs in product(product(range(lat.size), repeat=b), repeat=lifting.arity):
-                    through_args = [lifting.value_at(d, [(lambda e, h=h: h[f[e]]) for h in hs])
-                                    for d in deltas]
-                    through_map = [lifting.value_at(p, [(lambda e, h=h: h[e]) for h in hs])
-                                   for p in pushed]
+                    hf = [tuple(h[x] for x in f).__getitem__ for h in hs]
+                    through_args = [lifting.value_at(d, hf) for d in deltas]
+                    hg = [h.__getitem__ for h in hs]
+                    through_map = [lifting.value_at(p, hg) for p in pushed]
                     report.checked += ta
                     if through_args != through_map:
                         x = next(i for i in range(ta) if through_args[i] != through_map[i])

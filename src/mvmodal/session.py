@@ -96,10 +96,11 @@ class Session:
             raise InputError(f"unknown session config keys: {sorted(unknown)}")
         lat = algebra_from_spec(data.get("algebra", "boolean"))
         functor = make_functor(data.get("functor", "powerset"), lat)
+        raw = data.get("threshold")  # null, like an absent key, means 1/2
         try:
-            threshold = Fraction(str(data.get("threshold", "1/2")))
+            threshold = Fraction(1, 2) if raw is None else Fraction(str(raw))
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad threshold {data.get('threshold')!r}") from None
+            raise InputError(f"bad threshold {raw!r}") from None
         for key in ("budget", "iota0"):
             if data.get(key) is not None:
                 as_int(data[key], key)

@@ -3,13 +3,55 @@
 Each oracle recomputes a library result the slow, obvious way, so a test can
 compare the two on a shared pool and demand zero disagreements. They import
 only public names, so that removing a fast path from the library leaves its
-oracle standing.
+oracle standing. The distribution liftings' references compute in
+``fractions.Fraction``, term by term as the definitions read, where the
+library computes on integers scaled by the lcm of the value denominators.
 """
 import itertools
+from fractions import Fraction
 
 from mvmodal import StageTower, StepEvaluator, ValidationReport
 from mvmodal.semantics import refutation, stage_columns
 from mvmodal.syntax import Prop, propositions_of
+
+
+# -- distribution liftings in Fraction arithmetic -----------------------------------------
+
+
+def expected_truth(lat, delta, argfn) -> Fraction:
+    """Exact expected truth value of the argument under a grid distribution."""
+    _, pairs, q = delta
+    total = Fraction(0)
+    for e, c in pairs:
+        total += lat.values[argfn(e)] * Fraction(c, q)
+    return total
+
+
+def floor_to_chain(lat, fr: Fraction) -> int:
+    """Largest carrier element whose value is <= fr."""
+    best = lat.bot
+    for i, v in enumerate(lat.values):
+        if v <= fr and v >= lat.values[best]:
+            best = i
+    return best
+
+
+def prob(lat, delta, argfn) -> int:
+    return floor_to_chain(lat, expected_truth(lat, delta, argfn))
+
+
+def over(lat, threshold: Fraction, delta, argfn) -> int:
+    """Join of every alpha whose cut {x : alpha <= f(x)} has mass > threshold."""
+    _, pairs, q = delta
+    out = lat.bot
+    for alpha in range(lat.size):
+        mass = Fraction(0)
+        for e, c in pairs:
+            if lat.leq(alpha, argfn(e)):
+                mass += Fraction(c, q)
+        if mass > threshold:
+            out = lat.join[out][alpha]
+    return out
 
 
 # -- step-n soundness: the assignment sweep ----------------------------------------------

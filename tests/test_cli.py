@@ -483,6 +483,18 @@ def test_non_integer_config_values_are_input_errors(capsys, tmp_path, key, value
     assert key in payload["error"]["message"]
 
 
+def test_null_threshold_means_the_default(capsys, tmp_path):
+    cfg = {"algebra": "lukasiewicz:3", "functor": "distribution:2", "propositions": ["p"]}
+    runs = []
+    for name, extra in (("absent.json", {}), ("null.json", {"threshold": None})):
+        path = write_json(tmp_path, name, {**cfg, **extra})
+        runs.append(invoke(capsys, "--config", path, "--json", "valid", "over(p) -> p"))
+    assert runs[0] == runs[1]
+    code, out, _ = runs[1]
+    assert code == 1
+    assert json.loads(out)["witness"]["element"] == 3
+
+
 @pytest.mark.parametrize("depth,code", [(100, 0), (101, 2)])
 def test_nesting_depth_guard(capsys, depth, code):
     for text in ["box(" * depth + "c1" + ")" * depth, "(" * depth + "c1" + ")" * depth]:

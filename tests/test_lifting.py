@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import oracles
 from mvmodal import (Distribution, Functor, FuzzyHom, InputError, Neighborhood,
                      Powerset, PredicateLifting, Selection, apply_lifting,
                      builtin_lattice, check_alpha_preservation, check_naturality,
-                     standard_liftings)
-from mvmodal.functors import expected_truth, floor_to_chain
+                     load_algebra, standard_liftings)
+from oracles import expected_truth, floor_to_chain
 
 BOOL = builtin_lattice("boolean", 2)
 L3 = builtin_lattice("lukasiewicz", 3)
@@ -99,6 +101,41 @@ def test_distribution_over_threshold():
     assert over.value_at(mu, [f.__getitem__]) == 1
     point = ("ds", ((1, 2),), 2)
     assert over.value_at(point, [f.__getitem__]) == 2
+
+
+def _uneven_chain():
+    """goedel:4 (its operations read only the order) with values 0, 1/3, 1/2, 1."""
+    data = builtin_lattice("goedel", 4).to_dict()
+    data.update(name="uneven4", labels=[], values=["0", "1/3", "1/2", "1"])
+    return load_algebra(data)
+
+
+DIFF_CHAINS = [builtin_lattice("boolean", 2)] + [
+    builtin_lattice("lukasiewicz", k) for k in (3, 4, 5)] + [
+    builtin_lattice("goedel", k) for k in (3, 4)] + [_uneven_chain()]
+DIFF_THRESHOLDS = [Fraction(t) for t in ("0", "1/3", "1/2", "2/3", "1", "-1/2", "7/5")]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_distribution_kernels_match_fraction_definitions(q):
+    """The integer prob and over kernels agree with the Fraction definitions on
+    every element of T(n), n <= 2, and every argument table."""
+    cases, disagreements = 0, []
+    for lat in DIFF_CHAINS:
+        F = Distribution(lat, q)
+        for threshold in DIFF_THRESHOLDS:
+            reg = standard_liftings(lat, F, threshold)
+            prob, over = reg.get("prob"), reg.get("over")
+            for n in range(3):
+                for x, f in product(range(F.size(n)), product(range(lat.size), repeat=n)):
+                    mu, arg = F.decode(n, x), f.__getitem__
+                    got = (prob.value_at(mu, [arg]), over.value_at(mu, [arg]))
+                    want = (oracles.prob(lat, mu, arg), oracles.over(lat, threshold, mu, arg))
+                    cases += 1
+                    if got != want:
+                        disagreements.append((lat.name, str(threshold), mu, f, got, want))
+    assert cases > 0
+    assert disagreements == []
 
 
 def test_distribution_liftings_need_chain_values():
