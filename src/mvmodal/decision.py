@@ -65,13 +65,11 @@ def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
 # -- realized types ----------------------------------------------------------------
 
 
-def _lifted(session: Session, modals: list[Modal], column: dict, m: int, size: int):
-    """The value vectors of modals at x = 0, 1, ..., size-1 of T(m), in id
-    order; column[a] holds argument a's values over the m base elements."""
-    F = session.functor
+def _lifted(session: Session, modals: list[Modal], column: dict, m: int):
+    """The value vectors of modals over T(m), in id order; column[a] holds
+    argument a's values over the m base elements."""
     reads = [(session.registry.get(M.name), [column[a].__getitem__ for a in M.args]) for M in modals]
-    for x in range(size):
-        d = F.decode(m, x)
+    for d in session.functor.elements(m):
         yield tuple(lf.value_at(d, args) for lf, args in reads)
 
 
@@ -80,13 +78,12 @@ def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
     """Distinct value vectors of the level-k modal nodes over T(types at level k-1)."""
     F = session.functor
     m = len(types)
-    size = F.fits(m, session.budget)
-    if size is None:
+    if F.fits(m, session.budget) is None:
         raise BudgetError(f"T(realized types at level {k - 1})", F.size_text(m), session.budget)
     column = {f: tuple(t[i] for t in types) for i, f in enumerate(below)}
     every = session.lat.size ** len(modals)
     out: set[tuple] = set()
-    for mv in _lifted(session, modals, column, m, size):
+    for mv in _lifted(session, modals, column, m):
         out.add(mv)
         if len(out) == every:
             break
@@ -145,7 +142,7 @@ def _witness(session: Session, tower: StageTower, n: int, formulas: Sequence[For
     subs = list(dict.fromkeys(g for f in formulas for g in subformulas(f)))
     args = [a for g in subs if isinstance(g, Modal) for a in g.args]
     below = stage_columns(session, tower, args, n - 1) if modals else {}
-    lifted = _lifted(session, modals, below, tower.size(n - 1), step) if modals else [()]
+    lifted = _lifted(session, modals, below, tower.size(n - 1)) if modals else [()]
     starts = {pv for pv, _ in good}
     vecs = (tuple(vals.value(nu, pidx[p]) for p in props) for nu in range(vals.size))
     try:
@@ -203,11 +200,15 @@ def lemma2_model(session: Session, n: int, tower: StageTower | None = None) -> T
     Function-table transitions keep their stage-level index domain, so these
     models evaluate fine but do not serialize through model_to_dict.
     """
-    tower = tower or StageTower(session)
-    size = tower.size(n)
-    valuation = tuple(session.valuations.decode(tower.decode1(n, t)[0]) for t in range(size))
-    sigma = _canonical_sigma(session, tower, n)
-    return TModel(valuation, tuple(sigma(t) for t in range(size)))
+    tower, vals = tower or StageTower(session), session.valuations
+    step = tower.size(n) // vals.size  # state nu * step + d has T-component d
+    valuation = tuple(vals.decode(nu) for nu in range(vals.size) for _ in range(step))
+    if n == 0:
+        sigma = [_canonical_sigma(session, tower, 0)(0)]
+    else:
+        up = tower.iota_table(n - 1).__getitem__
+        sigma = [push_delta(session.lat, d, up) for d in session.functor.elements(tower.size(n - 1))]
+    return TModel(valuation, tuple(sigma) * vals.size)
 
 
 def _generated_model(session: Session, tower: StageTower, n: int, root: int) -> TModel:

@@ -20,14 +20,21 @@ Enumeration conventions (stable, documented for the file formats): functions
 into the carrier are numerals with element 0 as the most significant digit;
 subsets are bitmasks with bit i = element i; grid distributions enumerate in
 descending-lex count order, e.g. q=2, n=2 gives (2,0), (1,1), (0,2).
+
+Besides the one-element codecs, every functor computes its action on whole
+finite carriers in closed form, which is all the exhaustive checkers need:
+``elements(n)`` yields the delta forms of T(n) in id order without unranking,
+equal to ``[decode(n, x) for x in range(size(n))]``, and ``map_table(f, dom_n,
+cod_n)`` is the id table of T(f), equal to encoding ``push_delta`` of each
+decoded element along f, with the work all elements share done once per map.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Sequence
+from itertools import accumulate, compress, product
+from typing import Callable, Iterator, Sequence
 
 from .algebra import ResiduatedLattice
 from .report import InputError, ValidationReport, as_int
@@ -210,11 +217,33 @@ class Functor:
         with the argument predicates given as callables on base elements."""
         raise InputError(f"no standard liftings for functor {self.name!r}")
 
-    # id-level morphism action T(f); requires both carriers enumerable
+    def elements(self, n: int) -> Iterator:
+        """The delta forms of T(n) in id order, without unranking each id:
+        equal to [decode(n, x) for x in range(size(n))]."""
+        raise NotImplementedError
+
     def map_table(self, f_table: Sequence[int], dom_n: int, cod_n: int) -> list[int]:
-        lookup = list(f_table).__getitem__
-        return [self.encode(cod_n, push_delta(self.lat, self.decode(dom_n, x), lookup))
-                for x in range(self.size(dom_n))]
+        """T(f) as ids, for f an id table from dom_n into cod_n elements: entry
+        x is encode(cod_n, push_delta(lat, decode(dom_n, x), f)). Both
+        carriers must be enumerable."""
+        raise NotImplementedError
+
+
+def _join_image(join, f: Sequence[int], pairs, out: list[int]) -> list[int]:
+    """out with each (x, v) of pairs folded into out[f[x]] by join, in order,
+    as push_delta folds a fibre: the first value to reach a position
+    replaces what out held there."""
+    seen = set()
+    for x, v in pairs:
+        y = f[x]
+        out[y] = join[out[y]][v] if y in seen else v
+        seen.add(y)
+    return out
+
+
+def _pullbacks(a: int, f: Sequence[int], cod_n: int) -> list[int]:
+    """pre[g]: the id in Hom(dom, A) of g . f, for every g in Hom(cod_n, A)."""
+    return [undigits(a, [g[y] for y in f]) for g in product(range(a), repeat=cod_n)]
 
 
 def _box_powerset(lat, F, delta, args):
@@ -242,6 +271,20 @@ class Powerset(Functor):
 
     def encode(self, n: int, delta) -> int:
         return sum(1 << e for e in delta)
+
+    def elements(self, n: int) -> Iterator:
+        # product varies its last slot fastest, and bit 0 varies fastest
+        down = range(n - 1, -1, -1)
+        return (frozenset(compress(down, bits)) for bits in product((0, 1), repeat=n))
+
+    def map_table(self, f_table: Sequence[int], dom_n: int, cod_n: int) -> list[int]:
+        # the image of x is the union of the images of its bits; the ids whose
+        # highest bit is i are those below 1 << i with bit i added
+        out = [0]
+        for y in f_table:
+            bit = 1 << y
+            out += [v | bit for v in out]
+        return out
 
     def base_elem(self, n: int):
         return frozenset()
@@ -292,6 +335,16 @@ class FuzzyHom(Functor):
 
     def encode(self, n: int, delta) -> int:
         return undigits(self.lat.size, self.sigma_to_json(n, delta))
+
+    def elements(self, n: int) -> Iterator:
+        bot, pos = self.lat.bot, range(n)
+        return (("fz", tuple(compress(zip(pos, vals), map(bot.__ne__, vals))))
+                for vals in product(range(self.lat.size), repeat=n))
+
+    def map_table(self, f_table: Sequence[int], dom_n: int, cod_n: int) -> list[int]:
+        a, join, fill = self.lat.size, self.lat.join, [self.lat.bot] * cod_n
+        return [undigits(a, _join_image(join, f_table, pairs, fill[:]))
+                for _, pairs in self.elements(dom_n)]
 
     def base_elem(self, n: int):
         return ("fz", ())
@@ -345,6 +398,16 @@ class Neighborhood(Functor):
     def decode(self, n: int, x: int):
         base = digits_of(self.lat.size, self._homsize(n), x)
         return ("nb", base, tuple(range(n)))
+
+    def elements(self, n: int) -> Iterator:
+        mapping, a = tuple(range(n)), self.lat.size
+        return (("nb", base, mapping) for base in product(range(a), repeat=self._homsize(n)))
+
+    def map_table(self, f_table: Sequence[int], dom_n: int, cod_n: int) -> list[int]:
+        # T(f)(N)(g) = N(g . f)
+        a, pre = self.lat.size, _pullbacks(self.lat.size, f_table, cod_n)
+        return [undigits(a, [base[i] for i in pre])
+                for base in product(range(a), repeat=self._homsize(dom_n))]
 
     def encode(self, n: int, delta) -> int:
         _, base, mapping = delta
@@ -406,6 +469,21 @@ class Selection(Functor):
     def decode(self, n: int, x: int):
         h = self._homsize(n)
         return ("sel", digits_of(h, h, x), n, tuple(range(n)))
+
+    def elements(self, n: int) -> Iterator:
+        h, mapping = self._homsize(n), tuple(range(n))
+        return (("sel", table, n, mapping) for table in product(range(h), repeat=h))
+
+    def map_table(self, f_table: Sequence[int], dom_n: int, cod_n: int) -> list[int]:
+        # T(f)(s)(g) = the join-image along f of s(g . f); push[j] is the
+        # join-image of dom-function j
+        lat, h_dom, h_cod = self.lat, self._homsize(dom_n), self._homsize(cod_n)
+        a, fill = lat.size, [lat.bot] * cod_n
+        pre = _pullbacks(a, f_table, cod_n)
+        push = [undigits(a, _join_image(lat.join, f_table, enumerate(row), fill[:]))
+                for row in product(range(a), repeat=dom_n)]
+        return [undigits(h_cod, [push[table[i]] for i in pre])
+                for table in product(range(h_dom), repeat=h_dom)]
 
     def row_at(self, delta, arg_vals: Sequence[int]):
         """s(f) as sparse codomain values, where f is given on the mapping."""
@@ -492,6 +570,43 @@ class Distribution(Functor):
                 x += self._count(left - d, n - i - 1)
             left -= c
         return x
+
+    def elements(self, n: int) -> Iterator:
+        def spread(start: int, left: int):
+            # sparse count vectors on positions start..n-1 summing to left,
+            # descending-lex: by first nonzero position, then its count
+            if not left:
+                yield ()
+                return
+            for i in range(start, n):
+                for c in range(left, 0, -1):
+                    for rest in spread(i + 1, left - c):
+                        yield ((i, c), *rest)
+
+        q = self.q
+        return (("ds", pairs, q) for pairs in spread(0, q))
+
+    def map_table(self, f_table: Sequence[int], dom_n: int, cod_n: int) -> list[int]:
+        # encode adds block[i][left - c] at position i, where left is the mass
+        # not yet placed: block[i][m] = sum over r < m of count(r, cod_n-i-1).
+        # run[left][i] sums block[j][left] over j < i, so a stretch of zero
+        # counts costs one subtraction and an encode O(nonzero entries).
+        q = self.q
+        block = [list(accumulate((self._count(r, cod_n - i - 1) for r in range(q)), initial=0))
+                 for i in range(cod_n)]
+        run = [list(accumulate((b[left] for b in block), initial=0)) for left in range(q + 1)]
+        out = []
+        for _, pairs, _ in self.elements(dom_n):
+            acc: dict = {}
+            for e, c in pairs:
+                y = f_table[e]
+                acc[y] = acc.get(y, 0) + c
+            x, left, prev = 0, q, 0
+            for i, c in sorted(acc.items()):
+                x += run[left][i] - run[left][prev] + block[i][left - c]
+                left, prev = left - c, i + 1
+            out.append(x)
+        return out
 
     def base_elem(self, n: int):
         if n < 1:

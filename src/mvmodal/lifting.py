@@ -87,11 +87,10 @@ def apply_lifting(lifting: PredicateLifting, n: int, args: Sequence, budget: int
         raise InputError(f"{lifting.name} arguments must be {n} carrier values below "
                          f"{lifting.lat.size} each")
     F = lifting.functor
-    size = F.fits(n, budget)
-    if size is None:
+    if F.fits(n, budget) is None:
         raise BudgetError(f"T-carrier for {lifting.name} over a {n}-element set", F.size_text(n), budget)
     arg_fns = [t.__getitem__ for t in tables]
-    return FuzzySubset(tuple(lifting.value_at(F.decode(n, x), arg_fns) for x in range(size)))
+    return FuzzySubset(tuple(lifting.value_at(d, arg_fns) for d in F.elements(n)))
 
 
 # -- mechanical checks ------------------------------------------------------------
@@ -112,7 +111,7 @@ def check_naturality(lifting: PredicateLifting, bound: int = 2, budget: int = 10
         if ta is None:
             report.skip(f"domains of size {a}: |T(S)|={F.size_text(a)} exceeds budget {budget}")
             continue
-        deltas = [F.decode(a, x) for x in range(ta)]
+        deltas = list(F.elements(a))
         for b in range(bound + 1):
             for f in product(range(b), repeat=a):
                 pushed = [push_delta(lat, d, lambda e: f[e]) for d in deltas]

@@ -287,16 +287,19 @@ class StageTower:
         columns args. Id nu * tsize(k-1) + d has T-component d, so the column
         repeats once per valuation."""
         if k not in self._forms:
-            m = self.size(k - 1)
-            self._forms[k] = [self.s.functor.decode(m, d) for d in range(self.tsize(k - 1))]
+            self._forms[k] = list(self.s.functor.elements(self.size(k - 1)))
         lf = self.s.registry.get(name)
         reads = [a.__getitem__ for a in args]
         return [lf.value_at(d, reads) for d in self._forms[k]] * self.s.valuations.size
 
     def prop_column(self, k: int, name: str) -> list[int]:
         """Column over stage k of proposition name; id t has valuation t // tsize(k-1)."""
-        i, reps = self.s.propositions.index(name), self.size(k) // self.s.valuations.size
-        return [self.s.valuations.value(t // reps, i) for t in range(self.size(k))]
+        vals = self.s.valuations
+        i, reps = self.s.propositions.index(name), self.size(k) // vals.size
+        col: list[int] = []
+        for nu in range(vals.size):
+            col += [vals.value(nu, i)] * reps
+        return col
 
     def describe(self, k: int, t: int) -> str:
         """<valuation; T-component> of element t of stage k, the T-component's

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import ResiduatedLattice, Table, builtin_lattice, load_algebra
+from .algebra import ResiduatedLattice, Table, builtin_lattice, load_algebra, validate_lattice
 from .functors import Functor, ValuationSet, make_functor
 from .lifting import LiftingRegistry, standard_liftings
 from .parsing import parse_formula
@@ -20,7 +20,11 @@ DEFAULT_BUDGET = 10**6
 
 
 def algebra_from_spec(spec) -> ResiduatedLattice:
-    """Accepts 'boolean', 'lukasiewicz:3', 'goedel:4', a JSON path, or a dict."""
+    """Accepts 'boolean', 'lukasiewicz:3', 'goedel:4', a JSON path, or a dict.
+
+    A loaded algebra must pass validate_lattice, since the deciders rest on
+    naturality of the liftings, which needs the lattice laws; the builtin
+    chains are lawful by construction and are not checked."""
     if isinstance(spec, ResiduatedLattice):
         return spec
     m = _BUILTIN.match(str(spec)) if isinstance(spec, (str, Path)) else None
@@ -28,7 +32,13 @@ def algebra_from_spec(spec) -> ResiduatedLattice:
         return builtin_lattice(m.group(1), int(m.group(2) or 2))
     if isinstance(spec, (str, Path)) and not Path(spec).exists():
         raise InputError(f"algebra spec {spec!r} is neither a builtin name nor an existing file")
-    return load_algebra(spec)
+    lat = load_algebra(spec)
+    report = validate_lattice(lat)
+    if not report.ok:
+        v = report.violations[0]
+        raise InputError(f"algebra {lat.name} is not a residuated lattice: law {v.law} fails "
+                         f"at {v.witness} (mvmodal validate-algebra lists every broken law)")
+    return lat
 
 
 @dataclass(eq=False)

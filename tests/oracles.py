@@ -10,9 +10,20 @@ library computes on integers scaled by the lcm of the value denominators.
 import itertools
 from fractions import Fraction
 
-from mvmodal import StageTower, StepEvaluator, ValidationReport
+from mvmodal import StageTower, StepEvaluator, ValidationReport, push_delta
 from mvmodal.semantics import refutation, stage_columns
 from mvmodal.syntax import Prop, propositions_of
+
+
+# -- functor actions by unranking ---------------------------------------------------------
+
+
+def generic_map_table(F, f_table, dom_n, cod_n):
+    """T(f) as ids by decoding each element of T(dom_n), pushing it along f
+    and encoding the image: the route every Functor.map_table shortcuts."""
+    lookup = list(f_table).__getitem__
+    return [F.encode(cod_n, push_delta(F.lat, F.decode(dom_n, x), lookup))
+            for x in range(F.size(dom_n))]
 
 
 # -- distribution liftings in Fraction arithmetic -----------------------------------------

@@ -145,6 +145,48 @@ def test_validate_algebra_corrupted(capsys, tmp_path):
     assert "violation: residuation" in out
 
 
+NOT_A_LATTICE = {"name": "bad", "size": 2, "bot": 0, "top": 1,
+                 "join": [[0, 1], [1, 1]], "meet": [[0, 1], [0, 0]],
+                 "mono": [[0, 0], [0, 1]], "impl": [[1, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["valid", "box(p -> q) -> (box(p) -> box(q))"],
+    ["sat", "box(p)"],
+    ["entails", "box(p)", "box(p | q)"],
+    ["eval", "--model", "{model}", "p"],
+    ["stage", "1"],
+    ["rank", "box(p)"],
+    ["liftings"],
+    ["check", "truth-lemma", "--model", "{model}", "box(p)"],
+    ["check", "lemma1", "1"],
+    ["check", "naturality", "box"],
+    ["check", "preservation", "box", "--alpha", "1"],
+    ["check", "axioms", "{axioms}", "--n", "1"],
+    ["check", "derivation", "{derivation}"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_session_refuses_an_algebra_that_is_not_a_residuated_lattice(capsys, tmp_path, argv):
+    """The deciders rest on the lattice laws; on this algebra `valid` ended in
+    an internal coherence failure (exit 3) before sessions checked them."""
+    files = {"model": write_json(tmp_path, "model.json", MODEL),
+             "axioms": write_json(tmp_path, "ax.json", AXIOM_BOXTOP),
+             "derivation": write_json(tmp_path, "tree.json", TREE_OK)}
+    algebra = write_json(tmp_path, "bad.json", NOT_A_LATTICE)
+    cfg = write_json(tmp_path, "cfg.json", {"algebra": algebra, "functor": "powerset",
+                                            "propositions": ["p", "q"]})
+    argv = [files[a[1:-1]] if a.startswith("{") else a for a in argv]
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "InputError",
+        "message": "algebra bad is not a residuated lattice: law meet-commutative fails at "
+                   "(0, 1) (mvmodal validate-algebra lists every broken law)"}
+    code, out, _ = invoke(capsys, "validate-algebra", algebra)
+    assert code == 1
+    assert out.startswith("algebra bad: FAIL")
+    assert out.count("\nviolation: ") == 8
+
+
 @pytest.mark.parametrize("change", [
     {"size": 2.7}, {"top": True}, {"join": [[0, 1.9], [1, 1]]}, {"meet": [[0, True], [0, 1]]},
     {"labels": [0, 1]}, {"labels": "ab"}, {"values": 5}, {"values": "01"}, {"labels": ["0", "0"]},
@@ -340,6 +382,33 @@ def test_stage_size_of_a_constant_tower_is_answered_at_once(capsys, tmp_path):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert (code, out) == (0, "1 elements\n")
+
+
+@pytest.mark.parametrize("cfg,n,checked", [
+    ({"algebra": "lukasiewicz:3", "functor": "distribution:2", "propositions": ["p"]}, 3,
+     2373138),
+    ({"algebra": "boolean", "functor": "neighborhood", "propositions": ["p", "q"]}, 1,
+     1048576),
+], ids=["distribution", "neighborhood"])
+def test_lemma1_at_the_largest_in_budget_stage(capsys, tmp_path, cfg, n, checked):
+    """Building each T(f) table element by element through decode and encode
+    took minutes on the first session (a binomial per position at 513
+    points) and seconds on the second (65 536 tables re-encoded per map);
+    the alarm ends a run that slow as an error after 60 s."""
+    def late(*_):
+        raise TimeoutError("T(f) tables were built element by element")
+
+    path = write_json(tmp_path, "cfg.json", cfg)
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(60)
+    try:
+        code, out, _ = invoke(capsys, "--config", path, "--json", "check", "lemma1", str(n))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["ok"], report["checked"]) == (True, checked)
 
 
 def test_check_derivation(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from mvmodal import (BudgetError, Distribution, FuzzyHom, InputError, Neighborho
                      Powerset, Selection, ValuationSet, builtin_lattice,
                      check_functor_laws, make_functor, push_delta)
 from mvmodal.functors import digits_of, undigits
+from oracles import generic_map_table
 
 BOOL = builtin_lattice("boolean", 2)
 L3 = builtin_lattice("lukasiewicz", 3)
@@ -131,6 +134,66 @@ def test_map_table_matches_pointwise_push():
     for x in range(F.size(3)):
         expect = F.encode(2, push_delta(BOOL, F.decode(3, x), lambda e: f_table[e]))
         assert table[x] == expect
+
+
+# -- whole-carrier actions against the unranking route ----------------------------------
+
+
+G4 = builtin_lattice("goedel", 4)
+
+
+def _functors(lat):
+    return [Powerset(lat), FuzzyHom(lat), Neighborhood(lat), Selection(lat),
+            *(Distribution(lat, q) for q in (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("lat", [BOOL, L3, G4], ids=lambda lat: lat.name)
+def test_elements_enumerate_decode_order(lat):
+    """elements(n) is T(n) in id order, for every in-budget n <= 4."""
+    cases = 0
+    for F in _functors(lat):
+        for n in range(5):
+            size = F.fits(n, 10**6)
+            if size is None:
+                continue
+            assert list(F.elements(n)) == [F.decode(n, x) for x in range(size)], (F.name, n)
+            cases += size
+    assert cases > 0
+
+
+def _seeded_maps(F, rng, count):
+    """(f, dom_n, cod_n) with T(dom_n) enumerable and the generic encode into
+    cod_n cheap: cod_n <= 4, and Hom(cod_n, A) small for table-valued F."""
+    maps = []
+    while len(maps) < count:
+        dom_n, cod_n = rng.randrange(5), rng.randrange(1, 5)
+        if F.fits(dom_n, 5000) is None or (F.table_valued and F.lat.size ** cod_n > 64):
+            continue
+        maps.append(([rng.randrange(cod_n) for _ in range(dom_n)], dom_n, cod_n))
+    return maps
+
+
+@pytest.mark.parametrize("lat", [BOOL, L3, G4], ids=lambda lat: lat.name)
+def test_map_table_matches_generic_route(lat):
+    rng = random.Random(f"map_table:{lat.name}")
+    for F in _functors(lat):
+        for f, dom_n, cod_n in [([], 0, 1), (list(range(3)), 3, 3)] + _seeded_maps(F, rng, 25):
+            if F.fits(dom_n, 5000) is None:
+                continue
+            assert F.map_table(f, dom_n, cod_n) == generic_map_table(F, f, dom_n, cod_n), \
+                (F.name, f, dom_n, cod_n)
+
+
+@pytest.mark.parametrize("q,dom_n", [(1, 40), (2, 20), (3, 9), (4, 6)])
+def test_distribution_map_table_into_513_points(q, dom_n):
+    """Encoding at n = 513 pays a binomial per position on the generic route;
+    the native table reads precomputed block sums instead."""
+    F = Distribution(L3, q)
+    rng = random.Random(f"distribution:{q}")
+    spread = [rng.randrange(513) for _ in range(dom_n)]
+    merging = [rng.choice((0, 256, 512)) for _ in range(dom_n)]
+    for f in (spread, merging, sorted(spread, reverse=True)):
+        assert F.map_table(f, dom_n, 513) == generic_map_table(F, f, dom_n, 513)
 
 
 # -- valuation sets -------------------------------------------------------------------
