@@ -54,6 +54,9 @@ class ResiduatedLattice:
     ``values`` optionally embeds the carrier into the rationals (builtin chains
     use i/(k-1)); the distribution modalities require it. ``labels`` drive
     constant printing; they default to the value numerals or c{i}.
+    ``lawful`` marks tables known to satisfy every law of validate_lattice:
+    builtin chains are built lawful, and a Session sets it once it has
+    validated any other lattice.
     """
 
     name: str
@@ -66,6 +69,7 @@ class ResiduatedLattice:
     top: int
     labels: tuple[str, ...] = ()
     values: tuple[Fraction, ...] | None = None
+    lawful: bool = field(init=False, default=False, repr=False, compare=False)
     _leq: tuple[tuple[bool, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -174,7 +178,9 @@ def builtin_lattice(kind: str, k: int = 2) -> ResiduatedLattice:
         mono = tuple(tuple(max(a + b - (k - 1), 0) for b in rng) for a in rng)
         impl = tuple(tuple(min(k - 1 - a + b, k - 1) for b in rng) for a in rng)
     values = tuple(Fraction(i, k - 1) for i in range(k))
-    return ResiduatedLattice(name, k, join, meet, mono, impl, 0, k - 1, values=values)
+    lat = ResiduatedLattice(name, k, join, meet, mono, impl, 0, k - 1, values=values)
+    object.__setattr__(lat, "lawful", True)
+    return lat
 
 
 def load_algebra(source: str | Path | dict) -> ResiduatedLattice:

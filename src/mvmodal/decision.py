@@ -7,11 +7,12 @@ sweeping the stage. Level 0 types are read off the valuations. At level k,
 propositions depend only on the valuation and modal nodes only on the
 T-component; by naturality of the liftings, and because T preserves the
 surjection from stage k-1 onto its realized types, the modal value vectors
-over T(stage k-1) are exactly those over T(types at level k-1). Each pair of
-a proposition vector and a modal vector is one point of the column step
-(``semantics.tabulate``), which reads the connectives off the session's
-tables. Every count is exact, and the enumeration of T(types) stops as soon
-as every possible modal vector has appeared.
+over T(stage k-1) are exactly those over T(types at level k-1). The functor
+computes that set from its one-step structure (``Functor.modal_vectors``):
+the closures fold the types in one at a time, so only the set of vectors,
+never T(types), has to fit the budget. Each pair of a proposition vector and
+a modal vector is one point of the column step (``semantics.tabulate``),
+which reads the connectives off the session's tables. Every count is exact.
 
 The answer comes from the top-level types alone, so affirmative validity and
 consequence, and negative satisfiability, never touch stage n and are
@@ -76,18 +77,9 @@ def _lifted(session: Session, modals: list[Modal], column: dict, m: int):
 def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
                    types: list[tuple], k: int) -> list[tuple]:
     """Distinct value vectors of the level-k modal nodes over T(types at level k-1)."""
-    F = session.functor
-    m = len(types)
-    if F.fits(m, session.budget) is None:
-        raise BudgetError(f"T(realized types at level {k - 1})", F.size_text(m), session.budget)
     column = {f: tuple(t[i] for t in types) for i, f in enumerate(below)}
-    every = session.lat.size ** len(modals)
-    out: set[tuple] = set()
-    for mv in _lifted(session, modals, column, m):
-        out.add(mv)
-        if len(out) == every:
-            break
-    return sorted(out)
+    nodes = [(session.registry.get(M.name), [column[a] for a in M.args]) for M in modals]
+    return sorted(session.functor.modal_vectors(nodes, len(types), session.budget, k))
 
 
 def _realized_types(session: Session, formulas: Sequence[Formula], n: int

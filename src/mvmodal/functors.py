@@ -27,6 +27,19 @@ finite carriers in closed form, which is all the exhaustive checkers need:
 equal to ``[decode(n, x) for x in range(size(n))]``, and ``map_table(f, dom_n,
 cod_n)`` is the id table of T(f), equal to encoding ``push_delta`` of each
 decoded element along f, with the work all elements share done once per map.
+
+``modal_vectors(nodes, m, budget, level)`` is the one-step structure the
+deciders read: the exact set of value vectors that the named liftings take
+over T(m), where ``nodes`` holds one (lifting, argument columns) pair per modal
+node and each column lists an argument's values at the m points. It equals
+the set of the nodes' ``value_at`` vectors over ``elements(m)``, but every
+functor except the distributions computes it from its own structure without
+enumerating T(m): each closure folds one point at a time, where one option
+at every point is the identity, so the running set only grows, and it raises
+a BudgetError naming the modal vectors at ``level`` as soon as that set
+exceeds ``budget``. The distributions enumerate T(m), whose size grows only
+polynomially in m, behind the ``fits`` guard. The closures rest on the
+lattice laws, which every Session checks.
 """
 from __future__ import annotations
 
@@ -34,10 +47,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product
+from operator import getitem
 from typing import Callable, Iterator, Sequence
 
 from .algebra import ResiduatedLattice
-from .report import InputError, ValidationReport, as_int
+from .report import BudgetError, InputError, ValidationReport, as_int
 
 __all__ = [
     "ValuationSet",
@@ -228,6 +242,37 @@ class Functor:
         carriers must be enumerable."""
         raise NotImplementedError
 
+    def modal_vectors(self, nodes: Sequence[tuple], m: int, budget: int, level: int) -> set[tuple]:
+        """The distinct value vectors of nodes, (lifting, argument columns)
+        pairs, over T(m); see the module docstring."""
+        raise NotImplementedError
+
+
+def _over_budget(budget: int, level: int) -> BudgetError:
+    return BudgetError(f"modal vectors at level {level}", f"more than {budget}", budget)
+
+
+def _graded_fold(lat: ResiduatedLattice, box: Sequence[bool], columns, grades, budget: int,
+                 level: int) -> set[tuple]:
+    """The vectors over every choice of a grade g(x) in grades or bot at each
+    point x: coordinate i is the meet over x of g(x) -> columns[i][x] if
+    box[i], else the join over x of g(x) * columns[i][x]. The points are
+    folded in one at a time, and the set only grows, since folding in bot
+    changes nothing. A point is folded in once however often it repeats,
+    because the lattice operations are idempotent."""
+    seen = {tuple(lat.top if b else lat.bot for b in box)}
+    every = lat.size ** len(box)
+    for point in set(zip(*columns)):
+        # step: one meet or join row per coordinate, for each grade
+        steps = {tuple(lat.meet[lat.impl[g][a]] if b else lat.join[lat.mono[g][a]]
+                       for b, a in zip(box, point)) for g in grades}
+        seen |= {tuple(map(getitem, step, v)) for v in seen for step in steps}
+        if len(seen) > budget:
+            raise _over_budget(budget, level)
+        if len(seen) == every:
+            break
+    return seen
+
 
 def _join_image(join, f: Sequence[int], pairs, out: list[int]) -> list[int]:
     """out with each (x, v) of pairs folded into out[f[x]] by join, in order,
@@ -305,6 +350,13 @@ class Powerset(Functor):
         return [("box", 1, "box(f)(X) = meet of f(x) over x in X", _box_powerset),
                 ("diamond", 1, "diamond(f)(X) = join of f(x) over x in X", _diamond_powerset)]
 
+    def modal_vectors(self, nodes, m, budget, level):
+        # a subset is a choice of grade top or bot at each point: box folds
+        # in the points' values by meet, diamond by join
+        box = [lf.name == "box" for lf, _ in nodes]
+        return _graded_fold(self.lat, box, [cols[0] for _, cols in nodes], (self.lat.top,),
+                            budget, level)
+
 
 def _box_fuzzyhom(lat, F, delta, args):
     # meet over the whole base of delta(y) -> f(y); absent points give top
@@ -367,6 +419,11 @@ class FuzzyHom(Functor):
     def liftings(self, threshold: Fraction) -> list[tuple]:
         return [("box", 1, "box(f)(g) = meet over x of g(x) -> f(x)", _box_fuzzyhom),
                 ("diamond", 1, "diamond(f)(g) = join over x of g(x) * f(x)", _diamond_fuzzyhom)]
+
+    def modal_vectors(self, nodes, m, budget, level):
+        box = [lf.name == "box" for lf, _ in nodes]
+        return _graded_fold(self.lat, box, [cols[0] for _, cols in nodes], range(self.lat.size),
+                            budget, level)
 
 
 def _box_neighborhood(lat, F, delta, args):
@@ -437,6 +494,15 @@ class Neighborhood(Functor):
 
     def liftings(self, threshold: Fraction) -> list[tuple]:
         return [("box", 1, "box(f)(N) = N(f)", _box_neighborhood)]
+
+    def modal_vectors(self, nodes, m, budget, level):
+        # N takes any value at each distinct argument column, independently
+        classes: dict = {}
+        slot = [classes.setdefault(cols[0], len(classes)) for _, cols in nodes]
+        a = self.lat.size
+        if a ** len(classes) > budget:
+            raise _over_budget(budget, level)
+        return {tuple(vals[i] for i in slot) for vals in product(range(a), repeat=len(classes))}
 
 
 def _cond_selection(lat, F: Selection, delta, args):
@@ -529,6 +595,25 @@ class Selection(Functor):
 
     def liftings(self, threshold: Fraction) -> list[tuple]:
         return [("cond", 2, "cond(f,g)(s) = meet over x of s(f)(x) -> g(x)", _cond_selection)]
+
+    def modal_vectors(self, nodes, m, budget, level):
+        # s(f) is a free h in Hom(m, A) for each distinct first argument f, so
+        # the nodes sharing f fold like fuzzyhom's box with the grades h(x),
+        # and the groups combine as a product
+        groups: dict = {}
+        for i, (_, (f, g)) in enumerate(nodes):
+            groups.setdefault(f, []).append((i, g))
+        parts, size = [], 1
+        for group in groups.values():
+            parts.append(_graded_fold(self.lat, [True] * len(group), [g for _, g in group],
+                                      range(self.lat.size), budget, level))
+            size *= len(parts[-1])
+            if size > budget:
+                raise _over_budget(budget, level)
+        # node i sits at where[i] in the groups' concatenated vectors
+        order = [i for group in groups.values() for i, _ in group]
+        where = sorted(range(len(order)), key=order.__getitem__)
+        return {tuple(flat[j] for j in where) for flat in (sum(c, ()) for c in product(*parts))}
 
 
 class Distribution(Functor):
@@ -675,6 +760,19 @@ class Distribution(Functor):
 
         return [("prob", 1, "prob(f)(mu) = sum of f(x)*mu(x), floored onto the chain", prob),
                 ("over", 1, f"over(f)(mu) = join of alpha with mu(f_alpha) > {threshold}", over)]
+
+    def modal_vectors(self, nodes, m, budget, level):
+        # |T(m)| grows only polynomially in m, so enumerate it, stopping once
+        # every possible vector has appeared
+        if self.fits(m, budget) is None:
+            raise BudgetError(f"T(realized types at level {level - 1})", self.size_text(m), budget)
+        reads = [(lf, [col.__getitem__ for col in cols]) for lf, cols in nodes]
+        every, out = self.lat.size ** len(nodes), set()
+        for d in self.elements(m):
+            out.add(tuple(lf.value_at(d, args) for lf, args in reads))
+            if len(out) == every:
+                break
+        return out
 
 
 def _table_row(n: int, table, mapping) -> list[int]:

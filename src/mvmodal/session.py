@@ -20,11 +20,7 @@ DEFAULT_BUDGET = 10**6
 
 
 def algebra_from_spec(spec) -> ResiduatedLattice:
-    """Accepts 'boolean', 'lukasiewicz:3', 'goedel:4', a JSON path, or a dict.
-
-    A loaded algebra must pass validate_lattice, since the deciders rest on
-    naturality of the liftings, which needs the lattice laws; the builtin
-    chains are lawful by construction and are not checked."""
+    """Accepts 'boolean', 'lukasiewicz:3', 'goedel:4', a JSON path, or a dict."""
     if isinstance(spec, ResiduatedLattice):
         return spec
     m = _BUILTIN.match(str(spec)) if isinstance(spec, (str, Path)) else None
@@ -32,13 +28,21 @@ def algebra_from_spec(spec) -> ResiduatedLattice:
         return builtin_lattice(m.group(1), int(m.group(2) or 2))
     if isinstance(spec, (str, Path)) and not Path(spec).exists():
         raise InputError(f"algebra spec {spec!r} is neither a builtin name nor an existing file")
-    lat = load_algebra(spec)
+    return load_algebra(spec)
+
+
+def _require_lawful(lat: ResiduatedLattice) -> None:
+    """The deciders rest on naturality of the liftings, and the modal-vector
+    closures on the lattice operations themselves, so a session's lattice
+    must pass validate_lattice. A lattice marked lawful is not checked again."""
+    if lat.lawful:
+        return
     report = validate_lattice(lat)
     if not report.ok:
         v = report.violations[0]
         raise InputError(f"algebra {lat.name} is not a residuated lattice: law {v.law} fails "
                          f"at {v.witness} (mvmodal validate-algebra lists every broken law)")
-    return lat
+    object.__setattr__(lat, "lawful", True)
 
 
 @dataclass(eq=False)
@@ -54,6 +58,7 @@ class Session:
     tables: dict[str, Table] = field(init=False)  # connective -> lattice table
 
     def __post_init__(self):
+        _require_lawful(self.lat)
         self.propositions = tuple(self.propositions)
         for p in self.propositions:
             if not IDENT.fullmatch(p):

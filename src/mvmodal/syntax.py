@@ -9,7 +9,7 @@ the meet of the two implications at parse time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Union
 
 from .report import InputError
@@ -44,36 +44,68 @@ CONST_INDEX = re.compile(r"c(\d+)")  # c<index> names carrier element <index>
 IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+class _Node:
+    """A formula node caches its hash, computed once from its fields, whose
+    child nodes hash by their own cached values; equality stays the
+    dataclass's fieldwise comparison. Pickling goes through the constructor,
+    so an unpickled node hashes afresh."""
+
+    def _cache_hash(self, *parts) -> None:
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *parts)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: int  # carrier index
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _Node.__hash__  # a class's own __hash__ is one dataclass keeps
+
+    def __post_init__(self):
+        self._cache_hash(self.value)
 
 
 @dataclass(frozen=True)
-class Prop:
+class Prop(_Node):
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _Node.__hash__  # a class's own __hash__ is one dataclass keeps
+
+    def __post_init__(self):
+        self._cache_hash(self.name)
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str
     left: "Formula"
     right: "Formula"
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _Node.__hash__  # a class's own __hash__ is one dataclass keeps
 
     def __post_init__(self):
         if self.op not in BIN_OPS:
             raise InputError(f"unknown connective {self.op!r}")
+        self._cache_hash(self.op, self.left, self.right)
 
 
 @dataclass(frozen=True)
-class Modal:
+class Modal(_Node):
     name: str
     args: tuple["Formula", ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    __hash__ = _Node.__hash__  # a class's own __hash__ is one dataclass keeps
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
         if not self.args:
             raise InputError("modal operators take at least one argument")
+        self._cache_hash(self.name, self.args)
 
 
 Formula = Union[Const, Prop, Bin, Modal]

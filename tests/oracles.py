@@ -26,6 +26,13 @@ def generic_map_table(F, f_table, dom_n, cod_n):
             for x in range(F.size(dom_n))]
 
 
+def enumerated_modal_vectors(F, nodes, m):
+    """The value vectors of nodes, (lifting, argument columns) pairs, at every
+    element of T(m): the set each Functor.modal_vectors computes."""
+    reads = [(lf, [col.__getitem__ for col in cols]) for lf, cols in nodes]
+    return {tuple(lf.value_at(d, args) for lf, args in reads) for d in F.elements(m)}
+
+
 # -- distribution liftings in Fraction arithmetic -----------------------------------------
 
 

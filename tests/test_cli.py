@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmodal import builtin_lattice
+from mvmodal import InputError, Powerset, Session, builtin_lattice, load_algebra, validity
 from mvmodal.cli import main
 
 MODEL = {
@@ -185,6 +185,55 @@ def test_session_refuses_an_algebra_that_is_not_a_residuated_lattice(capsys, tmp
     assert code == 1
     assert out.startswith("algebra bad: FAIL")
     assert out.count("\nviolation: ") == 8
+
+
+def test_session_built_directly_checks_the_lattice_laws(tmp_path):
+    """A Session built from a lattice object refuses it as from_config does;
+    validity of K on this algebra used to end in an internal coherence
+    failure. A lawful lattice is validated once, then marked."""
+    lat = load_algebra(NOT_A_LATTICE)
+    with pytest.raises(InputError) as direct:
+        Session(lat=lat, functor=Powerset(lat), propositions=("p", "q"))
+    algebra = write_json(tmp_path, "bad.json", NOT_A_LATTICE)
+    with pytest.raises(InputError) as configured:
+        Session.from_config({"algebra": algebra, "propositions": ["p", "q"]})
+    assert str(direct.value) == str(configured.value)
+    assert "is not a residuated lattice" in str(direct.value)
+    assert builtin_lattice("lukasiewicz", 3).lawful
+    lat = load_algebra(builtin_lattice("lukasiewicz", 3).to_dict())
+    assert not lat.lawful
+    s = Session(lat=lat, functor=Powerset(lat), propositions=("p", "q"))
+    assert lat.lawful
+    assert validity(s, s.parse("box(p -> q) -> (box(p) -> box(q))")).answer
+
+
+@pytest.mark.parametrize("cfg,argv,verdict", [
+    ({"algebra": "lukasiewicz:3", "functor": "powerset", "propositions": ["p", "q", "r"]},
+     ["valid", "box(p) /\\ box(q) /\\ box(r) -> box(p /\\ q /\\ r)"], "valid"),
+    ({"algebra": "lukasiewicz:3", "functor": "neighborhood", "propositions": ["p", "q"]},
+     ["valid", "box(p /\\ q) -> box(q /\\ p)"], "valid"),
+    ({"algebra": "lukasiewicz:3", "functor": "selection", "propositions": ["p"]},
+     ["entails", "cond(p,p)", "cond(p, p /\\ p)"], "consequence"),
+], ids=["powerset", "neighborhood", "selection"])
+def test_answered_without_enumerating_types(capsys, tmp_path, cfg, argv, verdict):
+    """Each was refused with exit 2 while the modal vectors were read off an
+    enumeration of T(realized types): 2^27, 3^(3^3) and (3^3)^(3^3) elements."""
+    code, out, _ = invoke(capsys, "--config", write_json(tmp_path, "cfg.json", cfg), "--json", *argv)
+    assert code == 0
+    assert json.loads(out) == {"answer": True, "mode": verdict, "stage": 1, "witness": None}
+
+
+def test_modal_vectors_over_budget_are_refused(capsys, tmp_path):
+    """Three distinct argument columns give 2^3 neighborhood vectors, over a
+    budget of 4 that the level-0 types fit."""
+    cfg = write_json(tmp_path, "cfg.json", {"algebra": "boolean", "functor": "neighborhood",
+                                            "propositions": ["p", "q"], "budget": 4})
+    code, out, _ = invoke(capsys, "--config", cfg, "--json", "valid",
+                          "box(p) /\\ box(q) -> box(p /\\ q)")
+    assert code == 2
+    assert json.loads(out) == {"error": {
+        "kind": "BudgetError",
+        "message": "budget exceeded: modal vectors at level 1 has more than 4 elements (cap 4)"}}
 
 
 @pytest.mark.parametrize("change", [

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from mvmodal import (BudgetError, Distribution, FuzzyHom, InputError, Neighborhood,
                      Powerset, Selection, ValuationSet, builtin_lattice,
-                     check_functor_laws, make_functor, push_delta)
+                     check_functor_laws, make_functor, push_delta, standard_liftings)
 from mvmodal.functors import digits_of, undigits
-from oracles import generic_map_table
+from oracles import enumerated_modal_vectors, generic_map_table
 
 BOOL = builtin_lattice("boolean", 2)
 L3 = builtin_lattice("lukasiewicz", 3)
@@ -194,6 +194,49 @@ def test_distribution_map_table_into_513_points(q, dom_n):
     merging = [rng.choice((0, 256, 512)) for _ in range(dom_n)]
     for f in (spread, merging, sorted(spread, reverse=True)):
         assert F.map_table(f, dom_n, 513) == generic_map_table(F, f, dom_n, 513)
+
+
+# -- modal vectors ----------------------------------------------------------------------
+
+
+def _seeded_nodes(lifts, m, rng, count):
+    """count (lifting, argument columns) nodes over m points, whose columns
+    come from a pool of at most three, so that columns repeat."""
+    pool = [tuple(rng.randrange(lifts[0].lat.size) for _ in range(m))
+            for _ in range(rng.randint(1, 3))]
+    return [(lf, [rng.choice(pool) for _ in range(lf.arity)])
+            for lf in (rng.choice(lifts) for _ in range(count))]
+
+
+@pytest.mark.parametrize("functor", ["powerset", "fuzzyhom", "neighborhood", "selection",
+                                     "distribution:2"])
+@pytest.mark.parametrize("lat", [BOOL, L3, G4], ids=lambda lat: lat.name)
+def test_modal_vectors_match_enumeration(lat, functor):
+    """modal_vectors is the set of lifted vectors over T(m), for every m <= 5
+    where T(m) can be enumerated, with 1-4 nodes and repeated columns."""
+    F = make_functor(functor, lat)
+    lifts = list(standard_liftings(lat, F).liftings.values())
+    rng = random.Random(f"modal_vectors:{lat.name}:{functor}")
+    cases = 0
+    for m in range(6):
+        if F.fits(m, 20000) is None:
+            continue
+        for count in range(1, 5):
+            for _ in range(8):
+                nodes = _seeded_nodes(lifts, m, rng, count)
+                want = enumerated_modal_vectors(F, nodes, m)
+                assert F.modal_vectors(nodes, m, 10**6, 1) == want, (m, nodes)
+                cases += 1
+    assert cases >= 64
+
+
+def test_modal_vectors_refuse_a_set_over_budget():
+    F = Neighborhood(L3)
+    box = standard_liftings(L3, F).get("box")
+    nodes = [(box, [(0, 1)]), (box, [(2, 2)]), (box, [(0, 1)])]
+    assert len(F.modal_vectors(nodes, 2, 9, 1)) == 9
+    with pytest.raises(BudgetError, match=r"modal vectors at level 4 has more than 8 elements"):
+        F.modal_vectors(nodes, 2, 8, 4)
 
 
 # -- valuation sets -------------------------------------------------------------------

@@ -1,10 +1,16 @@
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvmodal
 from mvmodal import (Bin, Const, Modal, ParseError, Prop, Session, builtin_lattice,
                      parse_formula, pretty, propositions_of, rank, subformulas,
                      substitute, tokenize)
@@ -145,6 +151,36 @@ def test_substitute_simultaneous():
     phi = parse("p -> q")
     rho = {"p": parse("q"), "q": parse("p")}
     assert substitute(phi, rho) == parse("q -> p")
+
+
+def test_formula_hash_is_cached_and_field_based():
+    phi = parse("box(p /\\ q) -> cond(p, 0.5)")
+    again = parse("box(p /\\ q) -> cond(p, 0.5)")
+    assert phi == again and hash(phi) == hash(again) and phi is not again
+    assert {phi: 1}[again] == 1
+    assert parse("p /\\ q") != parse("q /\\ p")
+    assert repr(Modal("box", [Prop("p")])) == "Modal(name='box', args=(Prop(name='p'),))"
+    assert Const(1) != Prop("p") and Bin("and", Const(1), Prop("p")) == Bin("and", Const(1), Prop("p"))
+
+
+def test_pickled_formula_rehashes_through_the_constructor():
+    """A formula unpickled under another hash seed hashes like one built
+    there, so its cached hash is not carried over."""
+    phi = parse("box(p /\\ q) -> diamond(cond(p, r)) | c1")
+    assert pickle.loads(pickle.dumps(phi)) == phi
+    script = ("import pickle, sys\n"
+              "from mvmodal import builtin_lattice, parse_formula\n"
+              "phi = pickle.loads(sys.stdin.buffer.read())\n"
+              "fresh = parse_formula(sys.argv[1], builtin_lattice('lukasiewicz', 3), "
+              "('p', 'q', 'r'), {'box': 1, 'diamond': 1, 'cond': 2})\n"
+              "assert phi == fresh and hash(phi) == hash(fresh), 'stale hash'\n")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(mvmodal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, pretty(phi, LAT)], input=pickle.dumps(phi),
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_propositions_of():
