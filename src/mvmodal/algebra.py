@@ -7,6 +7,7 @@ from the meet table (a <= b iff meet(a, b) == a, equivalently join(a, b) == b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -156,8 +157,12 @@ class ResiduatedLattice:
         return out
 
 
+@lru_cache(maxsize=32)
 def builtin_lattice(kind: str, k: int = 2) -> ResiduatedLattice:
-    """Standard chains on {0, 1/(k-1), ..., 1} encoded as indices 0..k-1."""
+    """Standard chains on {0, 1/(k-1), ..., 1} encoded as indices 0..k-1.
+
+    Built once per (kind, k) and shared: the lattice is frozen, holds no
+    per-use state and is lawful from the start."""
     if k < 2:
         raise InputError("chain length must be >= 2")
     if kind == "boolean":

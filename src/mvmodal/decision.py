@@ -28,7 +28,7 @@ comes with a concrete finite model.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
 
@@ -51,7 +51,12 @@ class Verdict:
     witness: dict | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """dataclasses.asdict without its recursive deep copy: a witness holds
+        ints, strings and a dict of strings, so copying its dicts suffices."""
+        w = self.witness
+        if w is not None:
+            w = {k: dict(v) if isinstance(v, dict) else v for k, v in w.items()}
+        return {"answer": self.answer, "mode": self.mode, "stage": self.stage, "witness": w}
 
 
 def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:

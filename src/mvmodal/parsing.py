@@ -1,5 +1,12 @@
 """Lexer and recursive-descent parser for the formula surface syntax.
 
+The lexer is one regex scan (``finditer``) of whitespace-prefixed tokens that
+yields plain (kind, text, pos) tuples. A character that starts no token
+matches a one-character catch-all group of the same scan, which locates the
+first unlexable character without a second pass. The parser reads the list
+of token kinds, which ends in a sentinel, by index. ``tokenize`` wraps the
+same scan into ``Token`` named tuples.
+
 Tokens, binding strengths and associativity come from syntax.CONNECTIVES.
 The left-associative connectives are parsed by one precedence-climbing loop;
 the right-associative implication and the non-chaining biconditional sit on
@@ -12,8 +19,7 @@ parser or of the structural functions downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import ResiduatedLattice
 from .report import InputError
@@ -27,8 +33,13 @@ _IMP = CONNECTIVES["imp"]
 _LEFT = {c.symbol: c for c in CONNECTIVES.values() if not c.right_assoc}
 # longest symbol first, since the regex alternation takes the first that matches
 _PUNCT = sorted([c.symbol for c in CONNECTIVES.values()] + [IFF, "(", ")", ","], key=len, reverse=True)
-_TOKEN = re.compile(rf"(?P<numeral>{NUMERAL.pattern})|(?P<ident>{IDENT.pattern})"
-                    rf"|(?P<punct>{'|'.join(map(re.escape, _PUNCT))})|\s+")
+# one token after optional whitespace; a character that starts no token
+# matches the last group alone
+_SCAN = re.compile(rf"\s*(?:({NUMERAL.pattern})|({IDENT.pattern})"
+                   rf"|({'|'.join(map(re.escape, _PUNCT))})|(\S))")
+_UNLEXABLE = "unlexable"
+_END = "end of input"  # the kind of the sentinel token after the last
+_KINDS = (None, "numeral", "ident", None, _UNLEXABLE)  # by group; None: the text is the kind
 
 
 class ParseError(InputError):
@@ -38,62 +49,52 @@ class ParseError(InputError):
         super().__init__(f"{message} at position {pos}: {snippet!r}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'numeral' | operator/punct literal
     text: str
     pos: int
 
 
+def _lex(text: str) -> tuple[list[tuple], list[str]]:
+    """The (kind, text, pos) tuple of each token and the list of their kinds,
+    from one regex scan. Trailing whitespace is cut first: inside the text
+    every whitespace run ends at a character the scan matches, so it never
+    restarts within a run."""
+    tokens = [(_KINDS[g := m.lastindex] or m[g], m[g], m.start(g))
+              for m in _SCAN.finditer(text.rstrip())]
+    kinds = [t[0] for t in tokens]
+    if _UNLEXABLE in kinds:
+        _, char, pos = tokens[kinds.index(_UNLEXABLE)]
+        raise ParseError(f"unexpected character {char!r}", text, pos)
+    return tokens, kinds
+
+
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", text, i)
-        if m.lastgroup:  # None for whitespace
-            tokens.append(Token(m[0] if m.lastgroup == "punct" else m.lastgroup, m[0], i))
-        i = m.end()
-    return tokens
+    return [Token._make(t) for t in _lex(text)[0]]
 
 
 class _Parser:
     def __init__(self, text: str, lattice: ResiduatedLattice,
                  propositions: Sequence[str], modalities: Mapping[str, int]):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens, self.kinds = _lex(text)
+        self.tokens.append((_END, "", len(text)))
+        self.kinds.append(_END)
         self.i = 0
         self.lattice = lattice
         self.props = set(propositions)
-        self.modalities = dict(modalities)
+        self.modalities = modalities
         self.depth = 0  # groups, modal applications and implication operands open here
 
-    def _peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self) -> Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text, len(self.text))
+    def _expect(self, kind: str) -> None:
+        if self.kinds[self.i] != kind:
+            raise ParseError(f"expected {kind!r}", self.text, self.tokens[self.i][2])
         self.i += 1
-        return tok
-
-    def _expect(self, kind: str) -> Token:
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
-            pos = tok.pos if tok else len(self.text)
-            raise ParseError(f"expected {kind!r}", self.text, pos)
-        return self._next()
-
-    def _at(self, kind: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == kind
 
     def parse(self) -> Formula:
         phi = self.implication()
-        if self._peek() is not None:
-            raise ParseError("trailing input", self.text, self._peek().pos)
+        if self.kinds[self.i] is not _END:
+            raise ParseError("trailing input", self.text, self.tokens[self.i][2])
         if _height(phi) > MAX_NESTING:
             raise ParseError(f"connectives and modalities nest deeper than {MAX_NESTING}",
                              self.text, 0)
@@ -111,11 +112,13 @@ class _Parser:
 
     def implication(self) -> Formula:
         left = self.binary(0)
-        if self._at(_IMP.symbol):
-            tok = self._next()
-            return Bin("imp", left, self._nested(self.implication, tok.pos))
-        if self._at(IFF):
-            self._next()
+        kind = self.kinds[self.i]
+        if kind == _IMP.symbol:
+            pos = self.tokens[self.i][2]
+            self.i += 1
+            return Bin("imp", left, self._nested(self.implication, pos))
+        if kind == IFF:
+            self.i += 1
             right = self.binary(0)
             return Bin("and", Bin("imp", left, right), Bin("imp", right, left))
         return left
@@ -123,50 +126,53 @@ class _Parser:
     def binary(self, min_prec: int) -> Formula:
         """Left-associative connectives binding at least as tight as min_prec."""
         phi = self.atom()
-        while (tok := self._peek()) and (c := _LEFT.get(tok.kind)) and c.prec >= min_prec:
-            self._next()
+        while (c := _LEFT.get(self.kinds[self.i])) and c.prec >= min_prec:
+            self.i += 1
             phi = Bin(c.tag, phi, self.binary(c.prec + 1))
         return phi
 
     def atom(self) -> Formula:
-        tok = self._next()
-        if tok.kind == "(":
-            phi = self._nested(self.implication, tok.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind is _END:
+            raise ParseError("unexpected end of input", self.text, pos)
+        self.i += 1
+        if kind == "(":
+            phi = self._nested(self.implication, pos)
             self._expect(")")
             return phi
-        if tok.kind == "numeral":
-            idx = self.lattice.index_of_label(tok.text)
+        if kind == "numeral":
+            idx = self.lattice.index_of_label(text)
             if idx is None:
-                raise ParseError(f"numeral {tok.text!r} names no carrier element of {self.lattice.name}",
-                                 self.text, tok.pos)
+                raise ParseError(f"numeral {text!r} names no carrier element of {self.lattice.name}",
+                                 self.text, pos)
             return Const(idx)
-        if tok.kind == "ident":
-            if self._at("("):  # modality application
-                if tok.text not in self.modalities:
-                    raise ParseError(f"unknown modality {tok.text!r}", self.text, tok.pos)
-                self._next()
-                args = self._nested(self._arguments, tok.pos)
-                arity = self.modalities[tok.text]
+        if kind == "ident":
+            if self.kinds[self.i] == "(":  # modality application
+                if text not in self.modalities:
+                    raise ParseError(f"unknown modality {text!r}", self.text, pos)
+                self.i += 1
+                args = self._nested(self._arguments, pos)
+                arity = self.modalities[text]
                 if len(args) != arity:
-                    raise ParseError(f"modality {tok.text!r} takes {arity} argument(s), got {len(args)}",
-                                     self.text, tok.pos)
-                return Modal(tok.text, tuple(args))
-            m = CONST_INDEX.fullmatch(tok.text)
-            if m and tok.text not in self.props:
+                    raise ParseError(f"modality {text!r} takes {arity} argument(s), got {len(args)}",
+                                     self.text, pos)
+                return Modal(text, tuple(args))
+            m = CONST_INDEX.fullmatch(text)
+            if m and text not in self.props:
                 idx = int(m.group(1))
                 if idx >= self.lattice.size:
                     raise ParseError(f"constant index {idx} outside carrier 0..{self.lattice.size - 1}",
-                                     self.text, tok.pos)
+                                     self.text, pos)
                 return Const(idx)
-            if tok.text in self.props:
-                return Prop(tok.text)
-            raise ParseError(f"undeclared proposition {tok.text!r}", self.text, tok.pos)
-        raise ParseError(f"unexpected token {tok.text!r}", self.text, tok.pos)
+            if text in self.props:
+                return Prop(text)
+            raise ParseError(f"undeclared proposition {text!r}", self.text, pos)
+        raise ParseError(f"unexpected token {text!r}", self.text, pos)
 
     def _arguments(self) -> list[Formula]:
         args = [self.implication()]
-        while self._at(","):
-            self._next()
+        while self.kinds[self.i] == ",":
+            self.i += 1
             args.append(self.implication())
         self._expect(")")
         return args

@@ -10,7 +10,7 @@ from .algebra import ResiduatedLattice, Table, builtin_lattice, load_algebra, va
 from .functors import Functor, ValuationSet, make_functor
 from .lifting import LiftingRegistry, standard_liftings
 from .parsing import parse_formula
-from .report import InputError, as_int, read_json
+from .report import BudgetError, InputError, as_int, read_json
 from .syntax import CONNECTIVES, CONST_INDEX, IDENT, Const, Formula, Modal, Prop, pretty, subformulas
 
 __all__ = ["Session", "algebra_from_spec"]
@@ -19,13 +19,18 @@ _BUILTIN = re.compile(r"^(boolean|lukasiewicz|goedel)(?::(\d+))?$")
 DEFAULT_BUDGET = 10**6
 
 
-def algebra_from_spec(spec) -> ResiduatedLattice:
-    """Accepts 'boolean', 'lukasiewicz:3', 'goedel:4', a JSON path, or a dict."""
+def algebra_from_spec(spec, budget: int = DEFAULT_BUDGET) -> ResiduatedLattice:
+    """Accepts 'boolean', 'lukasiewicz:3', 'goedel:4', a JSON path, or a dict.
+    A builtin chain of length k is refused before it is built when its k*k
+    tables exceed the budget."""
     if isinstance(spec, ResiduatedLattice):
         return spec
     m = _BUILTIN.match(str(spec)) if isinstance(spec, (str, Path)) else None
     if m:
-        return builtin_lattice(m.group(1), int(m.group(2) or 2))
+        k = int(m.group(2) or 2)
+        if k * k > budget:
+            raise BudgetError(f"each builtin chain table of {spec}", k * k, budget)
+        return builtin_lattice(m.group(1), k)
     if isinstance(spec, (str, Path)) and not Path(spec).exists():
         raise InputError(f"algebra spec {spec!r} is neither a builtin name nor an existing file")
     return load_algebra(spec)
@@ -56,6 +61,7 @@ class Session:
     registry: LiftingRegistry = field(init=False)
     valuations: ValuationSet = field(init=False)
     tables: dict[str, Table] = field(init=False)  # connective -> lattice table
+    arities: dict[str, int] = field(init=False)  # modality -> arity, as the parser reads it
 
     def __post_init__(self):
         _require_lawful(self.lat)
@@ -71,6 +77,7 @@ class Session:
         for p in self.propositions:
             if p in self.registry.liftings:
                 raise InputError(f"proposition name {p!r} collides with a modality")
+        self.arities = self.registry.arities()
         self.valuations = ValuationSet(self.propositions, self.lat.size)
         self.tables = {op: getattr(self.lat, c.table) for op, c in CONNECTIVES.items()}
         if self.budget < 1:
@@ -81,7 +88,7 @@ class Session:
     def parse(self, text: str) -> Formula:
         if not isinstance(text, str):
             raise InputError(f"a formula must be a string, got {text!r}")
-        return parse_formula(text, self.lat, self.propositions, self.registry.arities())
+        return parse_formula(text, self.lat, self.propositions, self.arities)
 
     def pretty(self, phi: Formula) -> str:
         return pretty(phi, self.lat)
@@ -109,16 +116,19 @@ class Session:
         unknown = set(data) - known
         if unknown:
             raise InputError(f"unknown session config keys: {sorted(unknown)}")
-        lat = algebra_from_spec(data.get("algebra", "boolean"))
+        for key in ("budget", "iota0"):
+            if data.get(key) is not None:
+                as_int(data[key], key)
+        budget = DEFAULT_BUDGET if data.get("budget") is None else data["budget"]
+        if budget < 1:
+            raise InputError("budget must be positive")
+        lat = algebra_from_spec(data.get("algebra", "boolean"), budget)
         functor = make_functor(data.get("functor", "powerset"), lat)
         raw = data.get("threshold")  # null, like an absent key, means 1/2
         try:
             threshold = Fraction(1, 2) if raw is None else Fraction(str(raw))
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad threshold {raw!r}") from None
-        for key in ("budget", "iota0"):
-            if data.get(key) is not None:
-                as_int(data[key], key)
         props = data.get("propositions", ())
         if not isinstance(props, (list, tuple)) or not all(isinstance(p, str) for p in props):
             raise InputError(f"propositions must be a list of names, got {props!r}")
@@ -129,7 +139,7 @@ class Session:
             lat=lat,
             functor=functor,
             propositions=tuple(props),
-            budget=DEFAULT_BUDGET if data.get("budget") is None else data["budget"],
+            budget=budget,
             threshold=threshold,
             iota0=data.get("iota0"),
         )

@@ -6,13 +6,18 @@ only public names, so that removing a fast path from the library leaves its
 oracle standing. The distribution liftings' references compute in
 ``fractions.Fraction``, term by term as the definitions read, where the
 library computes on integers scaled by the lcm of the value denominators.
+The formula parser's reference lexes one token at a time in a character loop
+and reads the tokens through peek/next calls.
 """
 import itertools
+import re
 from fractions import Fraction
 
-from mvmodal import StageTower, StepEvaluator, ValidationReport, push_delta
+from mvmodal import ParseError, StageTower, StepEvaluator, ValidationReport, push_delta
+from mvmodal.parsing import MAX_NESTING
 from mvmodal.semantics import refutation, stage_columns
-from mvmodal.syntax import Prop, propositions_of
+from mvmodal.syntax import (CONNECTIVES, CONST_INDEX, IDENT, IFF, NUMERAL, Bin, Const, Modal,
+                            Prop, propositions_of)
 
 
 # -- functor actions by unranking ---------------------------------------------------------
@@ -163,3 +168,155 @@ def pointwise_soundness(session, axioms, n):
         return None
 
     return _sweep(session, tower, axioms, n, first)
+
+
+# -- formula parsing: a character loop and a method-based recursive descent ---------------
+
+_PUNCT = sorted([c.symbol for c in CONNECTIVES.values()] + [IFF, "(", ")", ","],
+                key=len, reverse=True)
+_TOKEN = re.compile(rf"(?P<numeral>{NUMERAL.pattern})|(?P<ident>{IDENT.pattern})"
+                    rf"|(?P<punct>{'|'.join(map(re.escape, _PUNCT))})|\s+")
+_LEFT = {c.symbol: c for c in CONNECTIVES.values() if not c.right_assoc}
+
+
+def reference_tokenize(text):
+    """(kind, text, pos) of each token, matched one at a time from the left."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", text, i)
+        if m.lastgroup:  # None for whitespace
+            tokens.append((m[0] if m.lastgroup == "punct" else m.lastgroup, m[0], i))
+        i = m.end()
+    return tokens
+
+
+def _height(phi):
+    best, stack = 0, [(phi, 0)]
+    while stack:
+        f, h = stack.pop()
+        best = max(best, h)
+        if isinstance(f, Bin):
+            stack += [(f.left, h + 1), (f.right, h + 1)]
+        elif isinstance(f, Modal):
+            stack += [(a, h + 1) for a in f.args]
+    return best
+
+
+class ReferenceParser:
+    """The grammar of mvmodal.parsing, read through peek/next/at calls on
+    the token list; the same ParseError messages and positions."""
+
+    def __init__(self, text, lattice, propositions, modalities):
+        self.text = text
+        self.tokens = reference_tokenize(text)
+        self.i = 0
+        self.lattice = lattice
+        self.props = set(propositions)
+        self.modalities = dict(modalities)
+        self.depth = 0
+
+    def _peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def _next(self):
+        tok = self._peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.text, len(self.text))
+        self.i += 1
+        return tok
+
+    def _expect(self, kind):
+        tok = self._peek()
+        if tok is None or tok[0] != kind:
+            raise ParseError(f"expected {kind!r}", self.text, tok[2] if tok else len(self.text))
+        return self._next()
+
+    def _at(self, kind):
+        tok = self._peek()
+        return tok is not None and tok[0] == kind
+
+    def parse(self):
+        phi = self.implication()
+        if self._peek() is not None:
+            raise ParseError("trailing input", self.text, self._peek()[2])
+        if _height(phi) > MAX_NESTING:
+            raise ParseError(f"connectives and modalities nest deeper than {MAX_NESTING}",
+                             self.text, 0)
+        return phi
+
+    def _nested(self, parse, pos):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING}", self.text, pos)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
+    def implication(self):
+        left = self.binary(0)
+        if self._at("->"):
+            tok = self._next()
+            return Bin("imp", left, self._nested(self.implication, tok[2]))
+        if self._at(IFF):
+            self._next()
+            right = self.binary(0)
+            return Bin("and", Bin("imp", left, right), Bin("imp", right, left))
+        return left
+
+    def binary(self, min_prec):
+        phi = self.atom()
+        while (tok := self._peek()) and (c := _LEFT.get(tok[0])) and c.prec >= min_prec:
+            self._next()
+            phi = Bin(c.tag, phi, self.binary(c.prec + 1))
+        return phi
+
+    def atom(self):
+        kind, text, pos = self._next()
+        if kind == "(":
+            phi = self._nested(self.implication, pos)
+            self._expect(")")
+            return phi
+        if kind == "numeral":
+            idx = self.lattice.index_of_label(text)
+            if idx is None:
+                raise ParseError(f"numeral {text!r} names no carrier element of "
+                                 f"{self.lattice.name}", self.text, pos)
+            return Const(idx)
+        if kind == "ident":
+            if self._at("("):
+                if text not in self.modalities:
+                    raise ParseError(f"unknown modality {text!r}", self.text, pos)
+                self._next()
+                args = self._nested(self._arguments, pos)
+                arity = self.modalities[text]
+                if len(args) != arity:
+                    raise ParseError(f"modality {text!r} takes {arity} argument(s), "
+                                     f"got {len(args)}", self.text, pos)
+                return Modal(text, tuple(args))
+            m = CONST_INDEX.fullmatch(text)
+            if m and text not in self.props:
+                idx = int(m.group(1))
+                if idx >= self.lattice.size:
+                    raise ParseError(f"constant index {idx} outside carrier "
+                                     f"0..{self.lattice.size - 1}", self.text, pos)
+                return Const(idx)
+            if text in self.props:
+                return Prop(text)
+            raise ParseError(f"undeclared proposition {text!r}", self.text, pos)
+        raise ParseError(f"unexpected token {text!r}", self.text, pos)
+
+    def _arguments(self):
+        args = [self.implication()]
+        while self._at(","):
+            self._next()
+            args.append(self.implication())
+        self._expect(")")
+        return args
+
+
+def reference_parse(text, lattice, propositions=(), modalities=None):
+    return ReferenceParser(text, lattice, propositions, modalities or {}).parse()

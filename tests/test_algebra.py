@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from mvmodal import InputError, builtin_lattice, load_algebra, validate_lattice
+from mvmodal import InputError, Session, builtin_lattice, load_algebra, validate_lattice
 from mvmodal.algebra import label_for_fraction
 
 from test_acceptance import LAWS, _violates
@@ -49,6 +49,27 @@ def test_lukasiewicz3_frozen_cells():
     assert lat.residuum(1, 0) == 1
     assert lat.residuum(2, 1) == 1
     assert all(lat.residuum(0, b) == 2 for b in range(3))
+
+
+def test_builtin_chains_are_built_once_and_shared():
+    specs = [("boolean", 2), ("lukasiewicz", 2), ("goedel", 2), ("lukasiewicz", 3),
+             ("goedel", 3), ("lukasiewicz", 7)]
+    for kind, k in specs:
+        assert builtin_lattice(kind, k) is builtin_lattice(kind, k)
+    assert len({id(builtin_lattice(kind, k)) for kind, k in specs}) == len(specs)
+    sessions = [Session.from_config({"algebra": "lukasiewicz:3"}) for _ in range(2)]
+    assert sessions[0].lat is sessions[1].lat is builtin_lattice("lukasiewicz", 3)
+
+
+def test_loaded_lattices_are_not_shared_and_each_is_checked():
+    data = builtin_lattice("lukasiewicz", 3).to_dict()
+    first, second = (Session.from_config({"algebra": data}).lat for _ in range(2))
+    assert first is not second
+    assert builtin_lattice("lukasiewicz", 3) not in (first, second)
+    broken = {**data, "impl": [[2, 2, 2], [1, 2, 2], [0, 0, 2]]}  # 1 -> 1/2 read as 0
+    for _ in range(2):  # a refusal is not remembered as a pass
+        with pytest.raises(InputError, match="law residuation fails"):
+            Session.from_config({"algebra": broken})
 
 
 @pytest.mark.parametrize("kind,k", [("boolean", 2), ("lukasiewicz", 3),

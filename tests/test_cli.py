@@ -236,6 +236,39 @@ def test_modal_vectors_over_budget_are_refused(capsys, tmp_path):
         "message": "budget exceeded: modal vectors at level 1 has more than 4 elements (cap 4)"}}
 
 
+def test_builtin_chain_over_budget_is_refused_before_it_is_built(capsys, tmp_path):
+    """The four k*k tables of lukasiewicz:100000 would take hours and 10^10
+    entries to build; the alarm ends such a run as an error after 1 s."""
+    def late(*_):
+        raise TimeoutError("the chain tables were built")
+
+    cfg = write_json(tmp_path, "cfg.json", {"algebra": "lukasiewicz:100000"})
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(1)
+    try:
+        code, out, _ = invoke(capsys, "--config", cfg, "--json", "valid", "p -> p")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert json.loads(out) == {"error": {"kind": "BudgetError", "message":
+                               "budget exceeded: each builtin chain table of "
+                               "lukasiewicz:100000 has 10000000000 elements (cap 1000000)"}}
+
+
+@pytest.mark.parametrize("budget,code", [(None, 0), (49, 0), (48, 2)])
+def test_builtin_chain_fits_when_its_tables_do(capsys, tmp_path, budget, code):
+    cfg = write_json(tmp_path, "cfg.json", {"algebra": "goedel:7", "budget": budget,
+                                            "propositions": ["p"]})
+    got, out, _ = invoke(capsys, "--config", cfg, "--json", "valid", "p -> p")
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["answer"] is True
+    else:
+        assert json.loads(out)["error"]["message"] == (
+            "budget exceeded: each builtin chain table of goedel:7 has 49 elements (cap 48)")
+
+
 @pytest.mark.parametrize("change", [
     {"size": 2.7}, {"top": True}, {"join": [[0, 1.9], [1, 1]]}, {"meet": [[0, True], [0, 1]]},
     {"labels": [0, 1]}, {"labels": "ab"}, {"values": 5}, {"values": "01"}, {"labels": ["0", "0"]},

@@ -1,9 +1,11 @@
+import copy
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from mvmodal import (BudgetError, Const, InputError, Modal, StageTower, StepEvaluator,
+from mvmodal import (Bin, BudgetError, Const, InputError, Modal, StageTower, StepEvaluator,
                      builtin_lattice, consequence, eval_model, eval_step, lemma2_model,
                      model_to_dict, rank, satisfiable, step_consequence, subformulas, validity)
 from mvmodal.decision import _generated_model, _realized_types
@@ -316,3 +318,27 @@ def test_witnesses_match_nested_oracle_without_nested_elements(algebra, functor,
     # a modal subformula under a modality, wherever stage 2 is in budget
     assert top_stage < 2 or any(isinstance(g, Modal) and rank(g) > 1 for _, formulas in witnessed
                                 for f in formulas for g in subformulas(f))
+
+
+@pytest.mark.parametrize("algebra,functor", [
+    ("lukasiewicz:3", "powerset"), ("lukasiewicz:3", "fuzzyhom"), ("boolean", "neighborhood"),
+    ("boolean", "selection"), ("lukasiewicz:3", "distribution:2"),
+])
+def test_verdict_to_dict_is_asdict_without_sharing(algebra, functor):
+    """to_dict builds the dict of dataclasses.asdict directly; mutating it
+    leaves the verdict's witness as it was."""
+    s = make_session(algebra=algebra, functor=functor, propositions=("p",))
+    name, arity = next(iter(s.arities.items()))
+    m = s.parse(f"{name}({', '.join(['p'] * arity)})")
+    verdicts = [validity(s, Bin("imp", m, m)), validity(s, m), satisfiable(s, m),
+                consequence(s, [m], Const(s.lat.bot)), satisfiable(s, Const(s.lat.bot))]
+    assert sum(v.witness is not None for v in verdicts) >= 2
+    assert sum(v.witness is None for v in verdicts) >= 2
+    for v in verdicts:
+        before = copy.deepcopy(v.witness)
+        d = v.to_dict()
+        assert d == dataclasses.asdict(v)
+        if d["witness"] is not None:
+            d["witness"]["values"]["p"] = "mutated"
+            d["witness"]["element"] = -1
+        assert v.witness == before

@@ -2,8 +2,10 @@ import json
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,9 @@ import mvmodal
 from mvmodal import (Bin, Const, Modal, ParseError, Prop, Session, builtin_lattice,
                      parse_formula, pretty, propositions_of, rank, subformulas,
                      substitute, tokenize)
+from mvmodal.parsing import MAX_NESTING
+from conftest import make_session, random_formula
+from oracles import reference_parse, reference_tokenize
 
 LAT = builtin_lattice("lukasiewicz", 3)
 PROPS = ("p", "q", "r")
@@ -128,6 +133,89 @@ def test_tokenize_reports_unlexable_character_and_position(text, char, pos):
         tokenize(text)
     assert str(err.value).startswith(f"unexpected character {char!r} at position {pos}:")
     assert err.value.pos == pos
+
+
+# -- differential: the one-scan lexer and indexed parser against the reference -----------
+
+FUNCTORS = ("powerset", "fuzzyhom", "neighborhood", "selection", "distribution:2")
+EDITS = ("$", "-", "<", "\\", ".", "/", "²", "(", ")", ",", "1/2/3", " c9 ")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.pos
+
+
+def _edited(rng, text):
+    """text with one inserted, one deleted and one replaced character."""
+    i = rng.randrange(len(text) + 1)
+    j = rng.randrange(max(len(text), 1))
+    return [text[:i] + rng.choice(EDITS) + text[i:], text[:j] + text[j + 1:],
+            text[:j] + rng.choice(EDITS) + text[j + 1:]]
+
+
+def _nested(depth):
+    return ["(" * depth + "p" + ")" * depth, "box(" * depth + "p" + ")" * depth,
+            "p -> " * depth + "p", " | ".join(["p"] * (depth + 1)),
+            "(" * depth + "p"]
+
+
+def _differential_pool(session, rng, count):
+    pool = []
+    for _ in range(count):
+        text = pretty(random_formula(session, rng, max_rank=3, size=rng.randint(1, 12)),
+                      session.lat)
+        if rng.random() < 0.3:
+            text = text.replace(" ", rng.choice(["", "  ", "\t", "\n "]))
+        pool += [text, *_edited(rng, text)]
+    return pool
+
+
+def test_parser_matches_the_reference_parser():
+    """ASTs, or ParseError messages and positions, agree on every string of a
+    seeded pool over all five functors' modalities."""
+    rng = random.Random(24)
+    checked = 0
+    for functor in FUNCTORS:
+        session = make_session(algebra="lukasiewicz:3", functor=functor)
+        pool = _differential_pool(session, rng, 300) + ["", " ", " \t\n "]
+        pool += [t for d in (MAX_NESTING, MAX_NESTING + 1) for t in _nested(d)]
+        for text in pool:
+            want = _outcome(lambda t: reference_parse(t, session.lat, session.propositions,
+                                                      session.arities), text)
+            assert _outcome(session.parse, text) == want, text
+            assert _outcome(tokenize, text) == _outcome(reference_tokenize, text), text
+            checked += 1
+    assert checked >= 5000
+
+
+@pytest.mark.parametrize("text,outcome", [
+    (" ".join(["p_1", "23", "q", "4.5", "1/2"] * 11_000).ljust(200_000) + "$",
+     ("ParseError", "unexpected character '$' at position 200000: '$'", 200_000)),
+    ("p".ljust(200_000) + "$",
+     ("ParseError", "unexpected character '$' at position 200000: '$'", 200_000)),
+    ("p".ljust(200_000), Prop("p")),
+], ids=["tokens-then-bad", "spaces-then-bad", "trailing-spaces"])
+def test_long_inputs_lex_in_linear_time(text, outcome):
+    """200 000 characters of identifiers, numerals and spaces: the outcome
+    comes within a second, so no scan backtracks over the text; the alarm ends
+    a quadratic scan (about 20 s for 20 000 trailing spaces) after 10 s."""
+    def late(*_):
+        raise TimeoutError("the lexer backtracked")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(10)
+    try:
+        started = time.perf_counter()
+        got = _outcome(parse, text)
+        elapsed = time.perf_counter() - started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == outcome
+    assert elapsed < 1.0
 
 
 # -- structure functions ------------------------------------------------------------
