@@ -74,9 +74,10 @@ def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
 def _lifted(session: Session, modals: list[Modal], column: dict, m: int):
     """The value vectors of modals over T(m), in id order; column[a] holds
     argument a's values over the m base elements."""
-    reads = [(session.registry.get(M.name), [column[a].__getitem__ for a in M.args]) for M in modals]
+    nodes = [(session.registry.get(M.name).column, [column[a] for a in M.args]) for M in modals]
     for d in session.functor.elements(m):
-        yield tuple(lf.value_at(d, args) for lf, args in reads)
+        one = (d,)
+        yield tuple(lift(one, cols)[0] for lift, cols in nodes)
 
 
 def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
@@ -153,7 +154,7 @@ def _witness(session: Session, tower: StageTower, n: int, formulas: Sequence[For
     def leaf(f: Formula) -> list[int]:
         if isinstance(f, Prop):
             return [vals.value(nu, pidx[f.name])]
-        return [session.registry.get(f.name).value_at(d, [below[a].__getitem__ for a in f.args])]
+        return session.registry.get(f.name).column((d,), [below[a] for a in f.args])
 
     col = tabulate(session, subs, 1, leaf)
     t = nu * step + x

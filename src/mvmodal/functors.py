@@ -4,7 +4,11 @@ their standard modalities.
 Every functor assigns each finite carrier size n a canonically enumerated set
 T(n) (ids 0..|T(n)|-1) together with decode/encode between ids and structured
 "delta forms", and declares its predicate liftings, whose evaluators read
-those forms; no other module reads a delta form. Delta forms are small
+those forms; no other module reads a delta form. Each lifting has one
+evaluator, a column kernel ``(lat, functor, forms, cols) -> list[int]``: it
+walks a sequence of delta forms and reads argument i as ``cols[i][x]`` from an
+indexable column over base elements, with the lattice tables held in locals,
+so a whole column costs no call per element. Delta forms are small
 hashable trees whose leaves are base-set elements; crucially they also
 represent elements of T(X) for *non-enumerable* X (pushforwards keep the
 structure small), which is what lets stage maps be computed without
@@ -32,21 +36,23 @@ decoded element along f, with the work all elements share done once per map.
 deciders read: the exact set of value vectors that the named liftings take
 over T(m), where ``nodes`` holds one (lifting, argument columns) pair per modal
 node and each column lists an argument's values at the m points. It equals
-the set of the nodes' ``value_at`` vectors over ``elements(m)``, but every
+the set of the nodes' value vectors over ``elements(m)``, but every
 functor except the distributions computes it from its own structure without
 enumerating T(m): each closure folds one point at a time, where one option
 at every point is the identity, so the running set only grows, and it raises
 a BudgetError naming the modal vectors at ``level`` as soon as that set
-exceeds ``budget``. The distributions enumerate T(m), whose size grows only
-polynomially in m, behind the ``fits`` guard. The closures rest on the
-lattice laws, which every Session checks.
+exceeds ``budget``. The distributions run their kernels over T(m), whose
+size grows only polynomially in m, behind the ``fits`` guard. The closures
+rest on the lattice laws, which every Session checks.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, product
+from itertools import accumulate, compress, islice, product
 from operator import getitem
 from typing import Callable, Iterator, Sequence
 
@@ -226,9 +232,10 @@ class Functor:
         raise NotImplementedError
 
     def liftings(self, threshold: Fraction) -> list[tuple]:
-        """The standard predicate liftings as (name, arity, formula, fn) rows;
-        fn(lat, functor, delta, args) is the lifted predicate at a delta form,
-        with the argument predicates given as callables on base elements."""
+        """The standard predicate liftings as (name, arity, formula, kernel)
+        rows; kernel(lat, functor, forms, cols) is the list of the lifted
+        predicate's values at the delta forms in forms, with argument i given
+        as an indexable column cols[i] over base elements."""
         raise InputError(f"no standard liftings for functor {self.name!r}")
 
     def elements(self, n: int) -> Iterator:
@@ -291,12 +298,26 @@ def _pullbacks(a: int, f: Sequence[int], cod_n: int) -> list[int]:
     return [undigits(a, [g[y] for y in f]) for g in product(range(a), repeat=cod_n)]
 
 
-def _box_powerset(lat, F, delta, args):
-    return lat.meet_many(map(args[0], delta))
+def _box_powerset(lat, F, forms, cols):
+    meet, top, f = lat.meet, lat.top, cols[0]
+    out = []
+    for subset in forms:
+        v = top
+        for x in subset:
+            v = meet[v][f[x]]
+        out.append(v)
+    return out
 
 
-def _diamond_powerset(lat, F, delta, args):
-    return lat.join_many(map(args[0], delta))
+def _diamond_powerset(lat, F, forms, cols):
+    join, bot, f = lat.join, lat.bot, cols[0]
+    out = []
+    for subset in forms:
+        v = bot
+        for x in subset:
+            v = join[v][f[x]]
+        out.append(v)
+    return out
 
 
 class Powerset(Functor):
@@ -358,13 +379,27 @@ class Powerset(Functor):
                             budget, level)
 
 
-def _box_fuzzyhom(lat, F, delta, args):
-    # meet over the whole base of delta(y) -> f(y); absent points give top
-    return lat.meet_many(lat.impl[v][args[0](e)] for e, v in delta[1])
+def _box_fuzzyhom(lat, F, forms, cols):
+    # meet over the whole base of g(x) -> f(x); absent points give top
+    meet, impl, top, f = lat.meet, lat.impl, lat.top, cols[0]
+    out = []
+    for _, pairs in forms:
+        v = top
+        for x, g in pairs:
+            v = meet[v][impl[g][f[x]]]
+        out.append(v)
+    return out
 
 
-def _diamond_fuzzyhom(lat, F, delta, args):
-    return lat.join_many(lat.mono[v][args[0](e)] for e, v in delta[1])
+def _diamond_fuzzyhom(lat, F, forms, cols):
+    join, mono, bot, f = lat.join, lat.mono, lat.bot, cols[0]
+    out = []
+    for _, pairs in forms:
+        v = bot
+        for x, g in pairs:
+            v = join[v][mono[g][f[x]]]
+        out.append(v)
+    return out
 
 
 class FuzzyHom(Functor):
@@ -426,12 +461,23 @@ class FuzzyHom(Functor):
                             budget, level)
 
 
-def _box_neighborhood(lat, F, delta, args):
-    _, base, mapping = delta
+def _code(a: int, f, mapping) -> int:
+    """The id in Hom(len(mapping), A) of the function x -> f[mapping[x]]."""
     code = 0
     for e in mapping:
-        code = code * lat.size + args[0](e)
-    return base[code]
+        code = code * a + f[e]
+    return code
+
+
+def _box_neighborhood(lat, F, forms, cols):
+    # N(f) reads N's table at f on its mapping; forms of one T(n) share theirs
+    a, f, last, code = lat.size, cols[0], None, 0
+    out = []
+    for _, base, mapping in forms:
+        if mapping is not last:
+            last, code = mapping, _code(a, f, mapping)
+        out.append(base[code])
+    return out
 
 
 class Neighborhood(Functor):
@@ -505,11 +551,33 @@ class Neighborhood(Functor):
         return {tuple(vals[i] for i in slot) for vals in product(range(a), repeat=len(classes))}
 
 
-def _cond_selection(lat, F: Selection, delta, args):
-    # s(f) included in g, inclusion graded by meet of pointwise residua
-    mapping = delta[3]
-    row = F.row_at(delta, tuple(args[0](e) for e in mapping))
-    return lat.meet_many(lat.impl[v][args[1](y)] for y, v in row.items())
+def _cond_selection(lat, F: Selection, forms, cols):
+    # s(f) included in g, inclusion graded by the meet of pointwise residua.
+    # Per mapping, the code of f on it and one (g(y), first x, other xs)
+    # entry per fibre of y, in the order Selection.row_at joins a row's values
+    a, meet, join, impl, top = lat.size, lat.meet, lat.join, lat.impl, lat.top
+    f, g = cols
+    last, code, fibres, rows = None, 0, (), defaultdict(dict)
+    out = []
+    for _, table, m, mapping in forms:
+        if mapping is not last:
+            last, code = mapping, _code(a, f, mapping)
+            fibre: dict = {}
+            for x, y in enumerate(mapping):
+                fibre.setdefault(y, []).append(x)
+            fibres = [(g[y], xs[0], xs[1:]) for y, xs in fibre.items()]
+        h, known = table[code], rows[m]
+        row = known.get(h)
+        if row is None:
+            row = known[h] = digits_of(a, m, h)
+        v = top
+        for gy, x, rest in fibres:
+            w = row[x]
+            for x in rest:
+                w = join[w][row[x]]
+            v = meet[v][impl[w][gy]]
+        out.append(v)
+    return out
 
 
 class Selection(Functor):
@@ -733,29 +801,30 @@ class Distribution(Functor):
         up = [[a for a in range(lat.size) if lat.leq(a, b)] for b in range(lat.size)]
         tn, td = threshold.numerator, threshold.denominator
 
-        def prob(lat, F, delta, args):
-            # the largest value <= total/(D*q), scanning from bot
-            _, pairs, q = delta
-            f, total = args[0], 0
-            for e, c in pairs:
-                total += num[f(e)] * c
-            best = lat.bot
-            for i, v in enumerate(num):
-                if v * q <= total and v >= num[best]:
-                    best = i
-            return best
+        def prob(lat, F, forms, cols):
+            # the largest value <= total/(D*q), and bot when bot is larger; as
+            # num increases, num[i] * q <= total exactly when num[i] <= total // q
+            f, bot, out = cols[0], lat.bot, []
+            for _, pairs, q in forms:
+                total = 0
+                for x, c in pairs:
+                    total += num[f[x]] * c
+                out.append(max(bisect_right(num, total // q) - 1, bot))
+            return out
 
-        def over(lat, F, delta, args):
+        def over(lat, F, forms, cols):
             # mass[alpha] / q is mu of the cut {x : alpha <= f(x)}
-            _, pairs, q = delta
-            f, mass = args[0], [0] * lat.size
-            for e, c in pairs:
-                for a in up[f(e)]:
-                    mass[a] += c
-            out = lat.bot
-            for alpha, m in enumerate(mass):
-                if m * td > tn * q:
-                    out = lat.join[out][alpha]
+            f, join, bot, size, out = cols[0], lat.join, lat.bot, lat.size, []
+            for _, pairs, q in forms:
+                mass, least = [0] * size, tn * q
+                for x, c in pairs:
+                    for a in up[f[x]]:
+                        mass[a] += c
+                v = bot
+                for alpha, m in enumerate(mass):
+                    if m * td > least:
+                        v = join[v][alpha]
+                out.append(v)
             return out
 
         return [("prob", 1, "prob(f)(mu) = sum of f(x)*mu(x), floored onto the chain", prob),
@@ -766,10 +835,9 @@ class Distribution(Functor):
         # every possible vector has appeared
         if self.fits(m, budget) is None:
             raise BudgetError(f"T(realized types at level {level - 1})", self.size_text(m), budget)
-        reads = [(lf, [col.__getitem__ for col in cols]) for lf, cols in nodes]
-        every, out = self.lat.size ** len(nodes), set()
-        for d in self.elements(m):
-            out.add(tuple(lf.value_at(d, args) for lf, args in reads))
+        every, out, forms = self.lat.size ** len(nodes), set(), self.elements(m)
+        while chunk := list(islice(forms, 512)):
+            out.update(zip(*(lf.column(chunk, cols) for lf, cols in nodes)))
             if len(out) == every:
                 break
         return out

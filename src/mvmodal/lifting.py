@@ -1,11 +1,17 @@
 """Predicate liftings: modal operator semantics as natural transformations.
 
 Each lifting turns argument predicates (carrier-valued maps on a base set)
-into one predicate on the functor image. Each functor declares its liftings
-(``Functor.liftings``), whose evaluators in functors.py work pointwise on delta
-forms with the arguments supplied as callables, so the same code serves tiny
-concrete models and lazily represented elements of huge stage carriers. This
-module registers, tabulates and checks liftings and reads no delta form.
+into one predicate on the functor image, a map from whole predicates to whole
+predicates. Each functor declares its liftings (``Functor.liftings``), whose
+evaluators in functors.py are column kernels: given a sequence of delta forms
+and one indexable value column per argument, a kernel returns the lifted
+predicate's values at all of those forms in one call, so the same code serves
+tiny concrete models, a model's stage images and whole stage carriers.
+``PredicateLifting.column`` runs the kernel; ``value_at``, the value at one
+form with the arguments given as callables, is the kernel on that one form. A
+lifting built from a pointwise ``fn`` alone, without a kernel, runs ``fn``
+once per form. This module registers, tabulates and checks liftings and reads
+no delta form.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import FuzzySubset, ResiduatedLattice
 from .functors import Functor, push_delta
@@ -29,16 +35,48 @@ __all__ = [
 ]
 
 
+class _Calls:
+    """An argument given as a callable, read as a column."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __getitem__(self, x):
+        return self.fn(x)
+
+
 @dataclass(frozen=True, eq=False)
 class PredicateLifting:
+    """One of fn and kernel is given. fn(lat, functor, delta, args) is the
+    value at one delta form with the arguments as callables on base elements;
+    kernel(lat, functor, forms, cols) the values at a sequence of forms with
+    the arguments as indexable columns (see functors.py)."""
+
     name: str
     arity: int
     functor: Functor
     lat: ResiduatedLattice
     formula: str
-    fn: Callable  # (lat, functor, delta, args) -> carrier value
+    fn: Callable | None = None
+    kernel: Callable | None = None
+
+    def __post_init__(self):
+        if (self.fn is None) == (self.kernel is None):
+            raise TypeError(f"lifting {self.name!r} needs exactly one of fn and kernel")
+
+    def column(self, forms: Iterable, cols: Sequence[Sequence[int]]) -> list[int]:
+        """The lifted predicate at each delta form of forms, in order, where
+        cols[i][x] is argument i's value at base element x."""
+        if self.kernel is not None:
+            return self.kernel(self.lat, self.functor, forms, cols)
+        reads = [c.__getitem__ for c in cols]
+        return [self.fn(self.lat, self.functor, d, reads) for d in forms]
 
     def value_at(self, delta, args: Sequence[Callable]) -> int:
+        if self.kernel is not None:
+            return self.kernel(self.lat, self.functor, (delta,), [_Calls(a) for a in args])[0]
         return self.fn(self.lat, self.functor, delta, args)
 
 
@@ -72,8 +110,8 @@ class LiftingRegistry:
 def standard_liftings(lat: ResiduatedLattice, functor: Functor,
                       threshold: Fraction = Fraction(1, 2)) -> LiftingRegistry:
     reg = LiftingRegistry()
-    for name, arity, formula, fn in functor.liftings(threshold):
-        reg.add(PredicateLifting(name, arity, functor, lat, formula, fn))
+    for name, arity, formula, kernel in functor.liftings(threshold):
+        reg.add(PredicateLifting(name, arity, functor, lat, formula, kernel=kernel))
     return reg
 
 
@@ -89,8 +127,7 @@ def apply_lifting(lifting: PredicateLifting, n: int, args: Sequence, budget: int
     F = lifting.functor
     if F.fits(n, budget) is None:
         raise BudgetError(f"T-carrier for {lifting.name} over a {n}-element set", F.size_text(n), budget)
-    arg_fns = [t.__getitem__ for t in tables]
-    return FuzzySubset(tuple(lifting.value_at(d, arg_fns) for d in F.elements(n)))
+    return FuzzySubset(tuple(lifting.column(F.elements(n), tables)))
 
 
 # -- mechanical checks ------------------------------------------------------------
@@ -116,10 +153,8 @@ def check_naturality(lifting: PredicateLifting, bound: int = 2, budget: int = 10
             for f in product(range(b), repeat=a):
                 pushed = [push_delta(lat, d, lambda e: f[e]) for d in deltas]
                 for hs in product(product(range(lat.size), repeat=b), repeat=lifting.arity):
-                    hf = [tuple(h[x] for x in f).__getitem__ for h in hs]
-                    through_args = [lifting.value_at(d, hf) for d in deltas]
-                    hg = [h.__getitem__ for h in hs]
-                    through_map = [lifting.value_at(p, hg) for p in pushed]
+                    through_args = lifting.column(deltas, [[h[x] for x in f] for h in hs])
+                    through_map = lifting.column(pushed, hs)
                     report.checked += ta
                     if through_args != through_map:
                         x = next(i for i in range(ta) if through_args[i] != through_map[i])

@@ -174,9 +174,7 @@ def eval_model(session: Session, model: TModel, phi: Formula) -> FuzzySubset:
             i = pidx[f.name]
             return [row[i] for row in model.valuation]
         tabulate(session, f.args, n, leaf, col)
-        lf = session.registry.get(f.name)
-        args = [col[a].__getitem__ for a in f.args]
-        return [lf.value_at(delta, args) for delta in model.sigma]
+        return session.registry.get(f.name).column(model.sigma, [col[a] for a in f.args])
 
     return FuzzySubset(tabulate(session, [phi], n, leaf, col)[phi])
 
@@ -288,9 +286,7 @@ class StageTower:
         repeats once per valuation."""
         if k not in self._forms:
             self._forms[k] = list(self.s.functor.elements(self.size(k - 1)))
-        lf = self.s.registry.get(name)
-        reads = [a.__getitem__ for a in args]
-        return [lf.value_at(d, reads) for d in self._forms[k]] * self.s.valuations.size
+        return self.s.registry.get(name).column(self._forms[k], args) * self.s.valuations.size
 
     def prop_column(self, k: int, name: str) -> list[int]:
         """Column over stage k of proposition name; id t has valuation t // tsize(k-1)."""
@@ -472,7 +468,8 @@ def sigma_states(session: Session, model: TModel, k: int) -> list[tuple]:
 class ModelImages:
     """A model's images in stages 0..n, hash-consed: ids[k][s] is the id of
     state s's stage-k image, forms[k][i] the (nu, form) of image i over level-(k-1)
-    image ids. Ids are equal exactly when the nested images of sigma_states are."""
+    image ids and tforms[k][i] its T-component form alone. Ids are equal
+    exactly when the nested images of sigma_states are."""
 
     def __init__(self, session: Session, model: TModel, n: int):
         self.s = session
@@ -480,6 +477,7 @@ class ModelImages:
         keys: list[tuple] = [(nu, None) for nu in nus]
         self.ids: list[list[int]] = []
         self.forms: list[list[tuple]] = []
+        self.tforms: list[list] = []
         for k in range(n + 1):
             if k:
                 read = self.ids[-1].__getitem__
@@ -487,6 +485,7 @@ class ModelImages:
             index: dict[tuple, int] = {}
             self.ids.append([index.setdefault(key, len(index)) for key in keys])
             self.forms.append(list(index))
+            self.tforms.append([form for _, form in index])
 
     def size(self, k: int) -> int:
         return len(self.forms[k])
@@ -496,8 +495,7 @@ class ModelImages:
         return [self.s.valuations.value(nu, i) for nu, _ in self.forms[k]]
 
     def lift(self, k: int, name: str, args: Sequence[Sequence[int]]) -> list[int]:
-        lf, reads = self.s.registry.get(name), [a.__getitem__ for a in args]
-        return [lf.value_at(form, reads) for _, form in self.forms[k]]
+        return self.s.registry.get(name).column(self.tforms[k], args)
 
 
 def sigma_k(session: Session, model: TModel, k: int, tower: StageTower | None = None) -> list[int]:

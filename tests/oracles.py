@@ -7,9 +7,12 @@ oracle standing. The distribution liftings' references compute in
 ``fractions.Fraction``, term by term as the definitions read, where the
 library computes on integers scaled by the lcm of the value denominators.
 The formula parser's reference lexes one token at a time in a character loop
-and reads the tokens through peek/next calls.
+and reads the tokens through peek/next calls. The predicate liftings'
+reference evaluates one delta form at a time, with the arguments as callables,
+as every lifting did before each got a column kernel.
 """
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -36,6 +39,87 @@ def enumerated_modal_vectors(F, nodes, m):
     element of T(m): the set each Functor.modal_vectors computes."""
     reads = [(lf, [col.__getitem__ for col in cols]) for lf, cols in nodes]
     return {tuple(lf.value_at(d, args) for lf, args in reads) for d in F.elements(m)}
+
+
+# -- predicate liftings, one delta form at a time ------------------------------------------
+
+
+def box_powerset(lat, F, delta, args):
+    return lat.meet_many(map(args[0], delta))
+
+
+def diamond_powerset(lat, F, delta, args):
+    return lat.join_many(map(args[0], delta))
+
+
+def box_fuzzyhom(lat, F, delta, args):
+    # meet over the whole base of delta(y) -> f(y); absent points give top
+    return lat.meet_many(lat.impl[v][args[0](e)] for e, v in delta[1])
+
+
+def diamond_fuzzyhom(lat, F, delta, args):
+    return lat.join_many(lat.mono[v][args[0](e)] for e, v in delta[1])
+
+
+def box_neighborhood(lat, F, delta, args):
+    _, base, mapping = delta
+    code = 0
+    for e in mapping:
+        code = code * lat.size + args[0](e)
+    return base[code]
+
+
+def cond_selection(lat, F, delta, args):
+    # s(f) included in g, inclusion graded by meet of pointwise residua
+    mapping = delta[3]
+    row = F.row_at(delta, tuple(args[0](e) for e in mapping))
+    return lat.meet_many(lat.impl[v][args[1](y)] for y, v in row.items())
+
+
+def distribution_pointwise(lat, threshold: Fraction) -> dict:
+    """prob and over on integers scaled by D, the lcm of the value
+    denominators, as Distribution.liftings defined them pointwise."""
+    scale = math.lcm(*(v.denominator for v in lat.values))
+    num = [v.numerator * (scale // v.denominator) for v in lat.values]  # values * D
+    up = [[a for a in range(lat.size) if lat.leq(a, b)] for b in range(lat.size)]
+    tn, td = threshold.numerator, threshold.denominator
+
+    def prob(lat, F, delta, args):
+        # the largest value <= total/(D*q), scanning from bot
+        _, pairs, q = delta
+        f, total = args[0], 0
+        for e, c in pairs:
+            total += num[f(e)] * c
+        best = lat.bot
+        for i, v in enumerate(num):
+            if v * q <= total and v >= num[best]:
+                best = i
+        return best
+
+    def over(lat, F, delta, args):
+        # mass[alpha] / q is mu of the cut {x : alpha <= f(x)}
+        _, pairs, q = delta
+        f, mass = args[0], [0] * lat.size
+        for e, c in pairs:
+            for a in up[f(e)]:
+                mass[a] += c
+        out = lat.bot
+        for alpha, m in enumerate(mass):
+            if m * td > tn * q:
+                out = lat.join[out][alpha]
+        return out
+
+    return {"prob": prob, "over": over}
+
+
+def pointwise_liftings(F, threshold: Fraction) -> dict:
+    """name -> fn(lat, functor, delta, args) for every standard lifting of F."""
+    if F.name == "distribution":
+        return distribution_pointwise(F.lat, threshold)
+    return {"powerset": {"box": box_powerset, "diamond": diamond_powerset},
+            "fuzzyhom": {"box": box_fuzzyhom, "diamond": diamond_fuzzyhom},
+            "neighborhood": {"box": box_neighborhood},
+            "selection": {"cond": cond_selection}}[F.name]
 
 
 # -- distribution liftings in Fraction arithmetic -----------------------------------------

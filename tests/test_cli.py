@@ -389,6 +389,31 @@ def test_check_axioms_certifies_over_budget_sweeps(capsys, tmp_path, functor, bo
         "are over budget" for name in ("K", "M")]
 
 
+def test_check_axioms_sizes_no_over_budget_stage_for_a_pass(capsys, tmp_path):
+    """Stage 2 of lukasiewicz:3 powerset over {p, q} has 9*2^4608 elements, but
+    K and monotonicity are decided on the realized types, so only the count
+    falls back to one case per axiom, with a note that names no stage size."""
+    cfg = {"algebra": "lukasiewicz:3", "functor": "powerset", "propositions": ["p", "q"]}
+    axioms = [{"name": "K", "premises": ["box(p)", "box(p -> q)"], "conclusion": "box(q)"},
+              {"name": "mono", "premises": ["box(p /\\ q)"], "conclusion": "box(p)"}]
+    code, report = check_axioms_json(capsys, tmp_path, cfg, axioms, 2)
+    assert code == 0 and report["ok"] and report["checked"] == 2
+    assert report["notes"][:2] == [
+        f"axiom {name!r} certified on stage 1, not swept: stage 2 is over budget"
+        for name in ("K", "mono")]
+
+
+def test_check_axioms_refutation_at_an_over_budget_stage_is_refused(capsys, tmp_path):
+    """A refuted axiom is reported at its first stage-2 witness, and the
+    witness scan still sizes stage 2, so over budget it is refused."""
+    cfg = {"algebra": "lukasiewicz:3", "functor": "powerset", "propositions": ["p", "q"]}
+    code, report = check_axioms_json(capsys, tmp_path, cfg,
+                                     [{"name": "T", "premises": ["box(p)"], "conclusion": "p"}], 2)
+    assert code == 2
+    assert report["error"] == {"kind": "BudgetError", "message": "budget exceeded: stage 2 "
+                               "carrier has 9*2^4608 elements (cap 1000000)"}
+
+
 def test_check_axioms_refutes_over_budget_sweep_at_stage_one(capsys, tmp_path):
     cfg = {"algebra": "lukasiewicz:3", "functor": "fuzzyhom", "propositions": ["p", "q"]}
     axioms = [{"name": "K", "premises": ["box(p)", "box(p -> q)"], "conclusion": "box(q)"}]

@@ -3,8 +3,9 @@ byte for byte with tests/golden/cli_json.txt, so that a change of output
 shows against the committed tree and not only between two runs of one tree.
 
 The battery is criterion c10's, one witness-bearing valid, sat and entails
-per functor, one check derivation, one check axioms, and one malformed
-formula per ParseError message. Regenerate the golden file only for an
+per functor, one eval --model, check truth-lemma and check naturality per
+functor, one check derivation, one check axioms, and one malformed formula
+per ParseError message. Regenerate the golden file only for an
 intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/golden/cli_json.txt
@@ -61,6 +62,40 @@ def _witnessed():
         yield cfg, ["entails", *entails]
 
 
+# per functor: a model file over WITNESSED's session, a formula evaluated on
+# it, a rank-2 formula for the truth lemma and a lifting checked for
+# naturality; two states of each model share their stage-1 image, so the
+# pushed transitions merge elements
+MODELS = {
+    "powerset": ({"states": 3, "valuation": [[2, 0], [1, 2], [1, 2]],
+                  "sigma": [[1, 2], [0], [0]]},
+                 "box(p) -> diamond(q)", "box(diamond(p) & q) -> diamond(box(q))", "box"),
+    "fuzzyhom": ({"states": 3, "valuation": [[2, 0], [1, 2], [1, 2]],
+                  "sigma": [[0, 2, 1], [1, 0, 0], [1, 0, 0]]},
+                 "box(p) -> diamond(q)", "box(diamond(q)) -> p", "diamond"),
+    "neighborhood": ({"states": 3, "valuation": [[1, 0], [0, 1], [0, 1]],
+                      "sigma": [[0, 1, 1, 1, 0, 1, 1, 0], [1, 0, 0, 1, 1, 1, 0, 0],
+                                [1, 0, 0, 1, 1, 1, 0, 0]]},
+                     "box(p & q) -> p", "box(box(q) -> p) -> p", "box"),
+    "selection": ({"states": 2, "valuation": [[1], [0]],
+                   "sigma": [[0, 1, 2, 3], [3, 2, 1, 0]]},
+                  "cond(p, c1) -> p", "cond(cond(p, c1), p) -> cond(p, p)", "cond"),
+    "distribution:2": ({"states": 3, "valuation": [[2, 0], [1, 2], [1, 2]],
+                        "sigma": [[1, 1, 0], [0, 0, 2], [0, 0, 2]]},
+                       "prob(p) -> over(q)", "prob(over(p) -> q)", "over"),
+}
+
+
+def _models():
+    for functor, (_, evaluated, lemma, lifting) in MODELS.items():
+        algebra, props = WITNESSED[functor][:2]
+        cfg = {"algebra": algebra, "functor": functor, "propositions": props}
+        model = "{model_" + functor.split(":")[0] + "}"
+        yield cfg, ["eval", "--model", model, evaluated]
+        yield cfg, ["check", "truth-lemma", "--model", model, lemma]
+        yield cfg, ["check", "naturality", lifting]
+
+
 PROOFS = [
     (None, ["check", "derivation", "{derivation}"]),
     (None, ["check", "axioms", "{axioms}", "--n", "1"]),
@@ -72,6 +107,7 @@ FILES = {
                    "child": {"rule": "axa", "premises": ["p"], "conclusion": "p /\\ p"}},
     "axioms": [{"name": "K", "premises": [], "conclusion": "box(p -> q) -> (box(p) -> box(q))"},
                {"name": "boxbot", "premises": [], "conclusion": "box(c0)"}],
+    **{"model_" + functor.split(":")[0]: model for functor, (model, *_) in MODELS.items()},
 }
 
 # one formula per ParseError message of mvmodal.parsing
@@ -90,7 +126,7 @@ MALFORMED = [
     " & ".join(["p"] * 102),               # connectives nest too deep
 ]
 
-CASES = C10 + list(_witnessed()) + PROOFS + [(None, ["valid", f]) for f in MALFORMED]
+CASES = C10 + list(_witnessed()) + list(_models()) + PROOFS + [(None, ["valid", f]) for f in MALFORMED]
 
 
 def render(workdir: Path) -> str:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,8 +8,8 @@ import oracles
 from mvmodal import (Distribution, Functor, FuzzyHom, InputError, Neighborhood,
                      Powerset, PredicateLifting, Selection, apply_lifting,
                      builtin_lattice, check_alpha_preservation, check_naturality,
-                     load_algebra, standard_liftings)
-from oracles import expected_truth, floor_to_chain
+                     load_algebra, push_delta, standard_liftings)
+from oracles import expected_truth, floor_to_chain, pointwise_liftings
 
 BOOL = builtin_lattice("boolean", 2)
 L3 = builtin_lattice("lukasiewicz", 3)
@@ -169,6 +170,89 @@ def test_standard_liftings_natural(lat):
             report = check_naturality(reg.get(name), bound=2, budget=10**5)
             assert report.ok, (lat.name, F.name, name, report.summary())
             assert report.checked > 0
+
+
+# -- column kernels against the pointwise reference ---------------------------------------
+
+
+G4 = builtin_lattice("goedel", 4)
+SAMPLE = 200  # forms drawn from T(m), by seeded ids, when it has more
+
+
+def _kernel_grid():
+    for lat in (BOOL, L3, G4):
+        for F in (Powerset(lat), FuzzyHom(lat), Neighborhood(lat), Selection(lat)):
+            yield pytest.param(F, Fraction(1, 2), id=f"{F.name}-{lat.name}")
+        for q in (1, 2, 3):
+            for threshold in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+                yield pytest.param(Distribution(lat, q), threshold,
+                                   id=f"distribution:{q}-{lat.name}-{threshold}")
+
+
+def _sample(F, m, rng):
+    size = F.size(m)
+    if size <= SAMPLE:
+        return list(F.elements(m))
+    return [F.decode(m, rng.randrange(size)) for _ in range(SAMPLE)]
+
+
+def _reshaped(F, before, after, n) -> bool:
+    """Whether pushing merged points (subsets, fuzzy and grid pairs) or left
+    a mapping that is not the identity on range(n) (tables)."""
+    if F.name == "powerset":
+        return len(after) < len(before)
+    if F.name in ("fuzzyhom", "distribution"):
+        return len(after[1]) < len(before[1])
+    return after[-1] != tuple(range(n))
+
+
+def _differs(lat, F, forms, cols, lf, ref):
+    """How many forms the kernel, and value_at, read differently from ref."""
+    reads = [c.__getitem__ for c in cols]
+    want = [ref(lat, F, d, reads) for d in forms]
+    got = lf.column(forms, cols)
+    one = [lf.value_at(d, reads) for d in forms]
+    return sum(g != w for g, w in zip(got, want)) + sum(o != w for o, w in zip(one, want)) \
+        + abs(len(got) - len(want))
+
+
+@pytest.mark.parametrize("F,threshold", list(_kernel_grid()))
+def test_column_kernels_match_the_pointwise_reference(F, threshold):
+    """Every shipped lifting's column equals the reference on seeded columns
+    over T(m), m <= 3, and over those forms pushed along seeded maps into
+    smaller sets, where mappings stop being identities and pairs merge."""
+    lat, rng = F.lat, random.Random(f"kernels:{F.name}:{F.lat.name}:{threshold}")
+    refs = pointwise_liftings(F, threshold)
+    compared = reshaped = 0
+    for name, lf in standard_liftings(lat, F, threshold).liftings.items():
+        ref = refs[name]
+        for m in range(4):
+            forms = _sample(F, m, rng)
+            cases = [(forms, m)]
+            for n in range(1, m + 1):
+                f = [rng.randrange(n) for _ in range(m)]
+                pushed = [push_delta(lat, d, f.__getitem__) for d in forms]
+                reshaped += sum(_reshaped(F, d, p, n) for d, p in zip(forms, pushed))
+                cases.append((pushed, n))
+            for case, n in cases:
+                for _ in range(3):
+                    cols = [tuple(rng.randrange(lat.size) for _ in range(n))
+                            for _ in range(lf.arity)]
+                    assert _differs(lat, F, case, cols, lf, ref) == 0, (name, m, n, cols)
+                    compared += len(case)
+    assert compared > 100
+    assert reshaped > 0 or getattr(F, "q", None) == 1  # one grid point never merges
+
+
+def test_lifting_built_from_a_pointwise_fn_runs_it_per_form():
+    F = Powerset(BOOL)
+    card = PredicateLifting(name="card", arity=1, functor=F, lat=BOOL,
+                            formula="card(f)(X) = |X| mod 2",
+                            fn=lambda lat, functor, delta, args: len(delta) % 2)
+    assert card.column(F.elements(2), [(0, 1)]) == [0, 1, 1, 0]
+    assert card.value_at(frozenset({0}), [(0, 1).__getitem__]) == 1
+    with pytest.raises(TypeError, match="exactly one of fn and kernel"):
+        PredicateLifting(name="none", arity=1, functor=F, lat=BOOL, formula="")
 
 
 def test_fault_injected_lifting_fails_naturality():

@@ -291,6 +291,7 @@ def test_truth_lemma_detects_broken_step_semantics(boolean_ps1, monkeypatch):
             super().__init__(session, model, n)
             self.forms[0].append((0, None))
             self.forms[1].append((1, frozenset({len(self.forms[0]) - 1})))
+            self.tforms[1].append(self.forms[1][-1][1])
             self.ids[1][0] = len(self.forms[1]) - 1
 
     monkeypatch.setattr(sem, "ModelImages", WrongImage)
