@@ -2,8 +2,7 @@
 lattices: models and evaluators, the (pseudo-)terminal sequence, finite-model
 decision procedures, and mechanical checkers for the meta-theory."""
 
-from .algebra import (FuzzySubset, ResiduatedLattice, builtin_lattice, load_algebra,
-                      validate_lattice)
+from .algebra import ResiduatedLattice, builtin_lattice, load_algebra, validate_lattice
 from .decision import Verdict, consequence, lemma2_model, satisfiable, validity
 from .functors import (Distribution, Functor, FuzzyHom, Neighborhood, Powerset,
                        Selection, ValuationSet, check_functor_laws, make_functor,
@@ -20,7 +19,7 @@ from .report import BudgetError, InputError, ValidationReport, Violation
 from .semantics import (StageTower, StepEvaluator, TModel, check_lemma1,
                         check_stage_coherence, check_truth_lemma, eval_model,
                         eval_step, load_model, model_consequence, model_to_dict,
-                        sigma_k, sigma_states, step_consequence)
+                        sigma_k, sigma_states)
 from .session import Session, algebra_from_spec
 from .syntax import (Bin, Const, Formula, Modal, Prop, pretty, propositions_of,
                      rank, subformulas, substitute)
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError", "Bin", "Consecution", "Const", "DerivationNode",
-    "Distribution", "Formula", "Functor", "FuzzyHom", "FuzzySubset",
+    "Distribution", "Formula", "Functor", "FuzzyHom",
     "InputError", "LiftingRegistry", "Modal", "ModalAxiomSet",
     "Neighborhood", "ParseError", "Powerset", "PredicateLifting", "Prop",
     "ResiduatedLattice", "Selection", "Session", "StageTower",
@@ -43,6 +42,6 @@ __all__ = [
     "load_derivation", "load_model", "make_functor", "model_consequence",
     "model_to_dict", "one_step_soundness_report", "parse_formula", "pretty",
     "propositions_of", "push_delta", "rank", "satisfiable", "sigma_k",
-    "sigma_states", "standard_liftings", "step_consequence", "subformulas",
+    "sigma_states", "standard_liftings", "subformulas",
     "substitute", "tokenize", "validate_lattice", "validity",
 ]

@@ -17,7 +17,6 @@ from .report import InputError, ValidationReport, as_int, read_json
 
 __all__ = [
     "ResiduatedLattice",
-    "FuzzySubset",
     "builtin_lattice",
     "load_algebra",
     "validate_lattice",
@@ -260,23 +259,4 @@ def validate_lattice(lat: ResiduatedLattice) -> ValidationReport:
 
     report.checked = sum(k**arity for _, arity, *_ in laws)
     return report
-
-
-# -- fuzzy subsets ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FuzzySubset:
-    """A map from a finite domain (indices 0..n-1) into the carrier."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
 

@@ -144,8 +144,7 @@ def run(args) -> int:
     if args.verb == "eval":
         model = load_model(session, args.model)
         phi = session.parse(args.formula)
-        values = eval_model(session, model, phi)
-        labels = [session.lat.label(v) for v in values.values]
+        labels = [session.lat.label(v) for v in eval_model(session, model, phi)]
         payload = {"formula": session.pretty(phi), "values": labels}
         _emit(args, payload, [f"{s}\t{lab}" for s, lab in enumerate(labels)])
         return 0

@@ -72,12 +72,12 @@ def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
 
 
 def _lifted(session: Session, modals: list[Modal], column: dict, m: int):
-    """The value vectors of modals over T(m), in id order; column[a] holds
-    argument a's values over the m base elements."""
+    """Each element of T(m), in id order, with the value vector of modals
+    there; column[a] holds argument a's values over the m base elements."""
     nodes = [(session.registry.get(M.name).column, [column[a] for a in M.args]) for M in modals]
     for d in session.functor.elements(m):
         one = (d,)
-        yield tuple(lift(one, cols)[0] for lift, cols in nodes)
+        yield d, tuple(lift(one, cols)[0] for lift, cols in nodes)
 
 
 def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
@@ -140,16 +140,15 @@ def _witness(session: Session, tower: StageTower, n: int, formulas: Sequence[For
     subs = list(dict.fromkeys(g for f in formulas for g in subformulas(f)))
     args = [a for g in subs if isinstance(g, Modal) for a in g.args]
     below = stage_columns(session, tower, args, n - 1) if modals else {}
-    lifted = _lifted(session, modals, below, tower.size(n - 1)) if modals else [()]
+    lifted = _lifted(session, modals, below, tower.size(n - 1)) if modals else [(None, ())]
     starts = {pv for pv, _ in good}
     vecs = (tuple(vals.value(nu, pidx[p]) for p in props) for nu in range(vals.size))
     try:
         nu, pv = next((nu, pv) for nu, pv in enumerate(vecs) if pv in starts)
-        x = next(x for x, mv in enumerate(lifted) if (pv, mv) in good)
+        x, d = next((x, d) for x, (d, mv) in enumerate(lifted) if (pv, mv) in good)
     except StopIteration:
         raise RuntimeError(f"internal coherence failure: a realized type at stage {n} "
                            "has no stage element") from None
-    d = session.functor.decode(tower.size(n - 1), x) if modals else None
 
     def leaf(f: Formula) -> list[int]:
         if isinstance(f, Prop):

@@ -513,13 +513,10 @@ class Neighborhood(Functor):
                 for base in product(range(a), repeat=self._homsize(dom_n))]
 
     def encode(self, n: int, delta) -> int:
+        # N read through the pullback of every g in Hom(n, A), as map_table does
         _, base, mapping = delta
-        a, m = self.lat.size, len(mapping)
-        out = []
-        for g in range(self._homsize(n)):
-            vals = digits_of(a, n, g)
-            out.append(base[undigits(a, tuple(vals[e] for e in mapping))])
-        return undigits(a, out)
+        a = self.lat.size
+        return undigits(a, [base[i] for i in _pullbacks(a, mapping, n)])
 
     def base_elem(self, n: int):
         return ("nb", (self.lat.bot,) * self._homsize(n), tuple(range(n)))
@@ -554,7 +551,7 @@ class Neighborhood(Functor):
 def _cond_selection(lat, F: Selection, forms, cols):
     # s(f) included in g, inclusion graded by the meet of pointwise residua.
     # Per mapping, the code of f on it and one (g(y), first x, other xs)
-    # entry per fibre of y, in the order Selection.row_at joins a row's values
+    # entry per fibre of y, in the order _join_image joins a row's values
     a, meet, join, impl, top = lat.size, lat.meet, lat.join, lat.impl, lat.top
     f, g = cols
     last, code, fibres, rows = None, 0, (), defaultdict(dict)
@@ -619,29 +616,13 @@ class Selection(Functor):
         return [undigits(h_cod, [push[table[i]] for i in pre])
                 for table in product(range(h_dom), repeat=h_dom)]
 
-    def row_at(self, delta, arg_vals: Sequence[int]):
-        """s(f) as sparse codomain values, where f is given on the mapping."""
-        _, table, m, mapping = delta
-        a = self.lat.size
-        row = digits_of(a, m, table[undigits(a, arg_vals)])
-        acc: dict = {}
-        for x, y in enumerate(mapping):
-            v = row[x]
-            acc[y] = self.lat.join[acc[y]][v] if y in acc else v
-        return acc
-
     def encode(self, n: int, delta) -> int:
+        # the join-image along mapping of s(g . mapping), for every g in Hom(n, A)
         _, table, m, mapping = delta
-        a, h = self.lat.size, self._homsize(n)
-        out = []
-        for g in range(h):
-            gvals = digits_of(a, n, g)
-            acc = self.row_at(delta, tuple(gvals[e] for e in mapping))
-            vals = [self.lat.bot] * n
-            for y, v in acc.items():
-                vals[y] = v
-            out.append(undigits(a, vals))
-        return undigits(h, out)
+        a, join, fill = self.lat.size, self.lat.join, [self.lat.bot] * n
+        rows = (enumerate(digits_of(a, m, table[i])) for i in _pullbacks(a, mapping, n))
+        return undigits(self._homsize(n), [undigits(a, _join_image(join, mapping, row, fill[:]))
+                                           for row in rows])
 
     def base_elem(self, n: int):
         h = self._homsize(n)

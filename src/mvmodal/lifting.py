@@ -8,10 +8,8 @@ and one indexable value column per argument, a kernel returns the lifted
 predicate's values at all of those forms in one call, so the same code serves
 tiny concrete models, a model's stage images and whole stage carriers.
 ``PredicateLifting.column`` runs the kernel; ``value_at``, the value at one
-form with the arguments given as callables, is the kernel on that one form. A
-lifting built from a pointwise ``fn`` alone, without a kernel, runs ``fn``
-once per form. This module registers, tabulates and checks liftings and reads
-no delta form.
+form with the arguments given as callables, is the kernel on that one form.
+This module registers, tabulates and checks liftings and reads no delta form.
 """
 from __future__ import annotations
 
@@ -21,7 +19,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .algebra import FuzzySubset, ResiduatedLattice
+from .algebra import ResiduatedLattice
 from .functors import Functor, push_delta
 from .report import BudgetError, InputError, ValidationReport
 
@@ -49,35 +47,23 @@ class _Calls:
 
 @dataclass(frozen=True, eq=False)
 class PredicateLifting:
-    """One of fn and kernel is given. fn(lat, functor, delta, args) is the
-    value at one delta form with the arguments as callables on base elements;
-    kernel(lat, functor, forms, cols) the values at a sequence of forms with
-    the arguments as indexable columns (see functors.py)."""
+    """kernel(lat, functor, forms, cols) gives the values at a sequence of
+    delta forms with the arguments as indexable columns (see functors.py)."""
 
     name: str
     arity: int
     functor: Functor
     lat: ResiduatedLattice
     formula: str
-    fn: Callable | None = None
-    kernel: Callable | None = None
-
-    def __post_init__(self):
-        if (self.fn is None) == (self.kernel is None):
-            raise TypeError(f"lifting {self.name!r} needs exactly one of fn and kernel")
+    kernel: Callable
 
     def column(self, forms: Iterable, cols: Sequence[Sequence[int]]) -> list[int]:
         """The lifted predicate at each delta form of forms, in order, where
         cols[i][x] is argument i's value at base element x."""
-        if self.kernel is not None:
-            return self.kernel(self.lat, self.functor, forms, cols)
-        reads = [c.__getitem__ for c in cols]
-        return [self.fn(self.lat, self.functor, d, reads) for d in forms]
+        return self.kernel(self.lat, self.functor, forms, cols)
 
     def value_at(self, delta, args: Sequence[Callable]) -> int:
-        if self.kernel is not None:
-            return self.kernel(self.lat, self.functor, (delta,), [_Calls(a) for a in args])[0]
-        return self.fn(self.lat, self.functor, delta, args)
+        return self.kernel(self.lat, self.functor, (delta,), [_Calls(a) for a in args])[0]
 
 
 # -- registry ---------------------------------------------------------------------
@@ -111,15 +97,16 @@ def standard_liftings(lat: ResiduatedLattice, functor: Functor,
                       threshold: Fraction = Fraction(1, 2)) -> LiftingRegistry:
     reg = LiftingRegistry()
     for name, arity, formula, kernel in functor.liftings(threshold):
-        reg.add(PredicateLifting(name, arity, functor, lat, formula, kernel=kernel))
+        reg.add(PredicateLifting(name, arity, functor, lat, formula, kernel))
     return reg
 
 
-def apply_lifting(lifting: PredicateLifting, n: int, args: Sequence, budget: int = 10**6) -> FuzzySubset:
+def apply_lifting(lifting: PredicateLifting, n: int, args: Sequence,
+                  budget: int = 10**6) -> tuple[int, ...]:
     """Tabulate the lifted predicate over all of T(S) for |S| = n."""
     if len(args) != lifting.arity:
         raise InputError(f"{lifting.name} takes {lifting.arity} argument(s), got {len(args)}")
-    tables = [tuple(a.values if isinstance(a, FuzzySubset) else a) for a in args]
+    tables = [tuple(a) for a in args]
     if any(len(t) != n or not all(type(v) is int and 0 <= v < lifting.lat.size for v in t)
            for t in tables):
         raise InputError(f"{lifting.name} arguments must be {n} carrier values below "
@@ -127,7 +114,7 @@ def apply_lifting(lifting: PredicateLifting, n: int, args: Sequence, budget: int
     F = lifting.functor
     if F.fits(n, budget) is None:
         raise BudgetError(f"T-carrier for {lifting.name} over a {n}-element set", F.size_text(n), budget)
-    return FuzzySubset(tuple(lifting.column(F.elements(n), tables)))
+    return tuple(lifting.column(F.elements(n), tables))
 
 
 # -- mechanical checks ------------------------------------------------------------
@@ -211,10 +198,10 @@ def check_alpha_preservation(lifting: PredicateLifting, alpha: int, set_bound: i
             continue
         subsets = list(product(range(lat.size), repeat=n))
         dom_full, lift_full = (1 << n) - 1, (1 << tn) - 1
-        dom_cut, lift_cut = {}, {}
+        dom_cut, lift_cut, forms = {}, {}, list(F.elements(n))
         for fv in subsets:
             dom_cut[fv] = sum(1 << i for i, v in enumerate(fv) if lat.leq(alpha, v))
-            table = apply_lifting(lifting, n, [fv], budget)
+            table = lifting.column(forms, [fv])
             lift_cut[fv] = sum(1 << t for t, v in enumerate(table) if lat.leq(alpha, v))
 
         for fsize in range(family_bound + 1):

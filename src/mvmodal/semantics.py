@@ -4,22 +4,21 @@
 session's tables, given the columns of the propositions and modal nodes. Its
 callers differ only in where those leaf columns come from: the model
 evaluator (over a model's states), the level walk ``stage_columns`` (over the
-ids of a stage, behind ``eval_step``, ``step_consequence``,
-``check_stage_coherence``, the proof kit and the deciders' witnesses, or over
-a model's hash-consed stage images ``ModelImages``, behind
-``check_truth_lemma``), the realized-type deciders and the surrogate oracle.
-``refutation`` reads local consequence off such columns for
-``model_consequence``, ``step_consequence``, the surrogate oracle
-``decide_ax_a`` and the step-n soundness sweep. ``StepEvaluator``, which
-reads the same semantics pointwise on nested stage elements
-(``decode_full``), has no library caller; it is kept as a test reference.
+ids of a stage, behind ``eval_step``, ``check_stage_coherence``, the proof
+kit and the deciders' witnesses, or over a model's hash-consed stage images
+``ModelImages``, behind ``check_truth_lemma``), the realized-type deciders
+and the surrogate oracle. ``refutation`` reads local consequence off such
+columns for ``model_consequence``, the surrogate oracle ``decide_ax_a`` and
+the step-n soundness sweep. Both evaluators return a value column as a plain
+tuple. ``StepEvaluator``, which reads the same semantics pointwise on nested
+stage elements (``decode_full``), has no library caller; it is kept as a test
+reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import FuzzySubset
 from .functors import push_delta
 from .report import BudgetError, InputError, ValidationReport, as_int, read_json
 from .session import Session
@@ -39,7 +38,6 @@ __all__ = [
     "StepEvaluator",
     "stage_columns",
     "eval_step",
-    "step_consequence",
     "sigma_states",
     "ModelImages",
     "sigma_k",
@@ -162,7 +160,7 @@ def tabulate(session: Session, roots: Sequence[Formula], width: int,
     return col
 
 
-def eval_model(session: Session, model: TModel, phi: Formula) -> FuzzySubset:
+def eval_model(session: Session, model: TModel, phi: Formula) -> tuple[int, ...]:
     """Semantics on a concrete model, one column over its states per subformula."""
     session.validate_formula(phi)
     n = model.n_states
@@ -176,7 +174,7 @@ def eval_model(session: Session, model: TModel, phi: Formula) -> FuzzySubset:
         tabulate(session, f.args, n, leaf, col)
         return session.registry.get(f.name).column(model.sigma, [col[a] for a in f.args])
 
-    return FuzzySubset(tabulate(session, [phi], n, leaf, col)[phi])
+    return tabulate(session, [phi], n, leaf, col)[phi]
 
 
 def refutation(session: Session, col, premises: Sequence[Formula], phi: Formula) -> int | None:
@@ -436,20 +434,10 @@ def stage_columns(session: Session, tower: StageTower | ModelImages, roots: Sequ
 
 
 def eval_step(session: Session, phi: Formula, n: int,
-              tower: StageTower | None = None) -> FuzzySubset:
+              tower: StageTower | None = None) -> tuple[int, ...]:
     """Tabulate stage-n semantics over the whole stage carrier."""
     session.validate_formula(phi)
-    return FuzzySubset(stage_columns(session, tower or StageTower(session), [phi], n)[phi])
-
-
-def step_consequence(session: Session, premises: Sequence[Formula], phi: Formula,
-                     n: int, tower: StageTower | None = None) -> tuple[bool, int | None]:
-    """Stage-n consequence; returns the first refuting stage element id."""
-    for f in (*premises, phi):
-        session.validate_formula(f)
-    col = stage_columns(session, tower or StageTower(session), [*premises, phi], n)
-    t = refutation(session, col, premises, phi)
-    return t is None, t
+    return stage_columns(session, tower or StageTower(session), [phi], n)[phi]
 
 
 # -- approximation maps out of a model -------------------------------------------------

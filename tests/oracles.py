@@ -7,9 +7,11 @@ oracle standing. The distribution liftings' references compute in
 ``fractions.Fraction``, term by term as the definitions read, where the
 library computes on integers scaled by the lcm of the value denominators.
 The formula parser's reference lexes one token at a time in a character loop
-and reads the tokens through peek/next calls. The predicate liftings'
-reference evaluates one delta form at a time, with the arguments as callables,
-as every lifting did before each got a column kernel.
+and reads the tokens through peek/next calls. ``step_consequence`` decides
+stage-n consequence by sweeping every element of the stage, which the
+realized-type deciders avoid. The predicate liftings' reference evaluates one
+delta form at a time, with the arguments as callables, as every lifting did
+before each got a column kernel.
 """
 import itertools
 import math
@@ -17,6 +19,7 @@ import re
 from fractions import Fraction
 
 from mvmodal import ParseError, StageTower, StepEvaluator, ValidationReport, push_delta
+from mvmodal.functors import digits_of, undigits
 from mvmodal.parsing import MAX_NESTING
 from mvmodal.semantics import refutation, stage_columns
 from mvmodal.syntax import (CONNECTIVES, CONST_INDEX, IDENT, IFF, NUMERAL, Bin, Const, Modal,
@@ -70,10 +73,14 @@ def box_neighborhood(lat, F, delta, args):
 
 
 def cond_selection(lat, F, delta, args):
-    # s(f) included in g, inclusion graded by meet of pointwise residua
-    mapping = delta[3]
-    row = F.row_at(delta, tuple(args[0](e) for e in mapping))
-    return lat.meet_many(lat.impl[v][args[1](y)] for y, v in row.items())
+    # s(f) included in g, inclusion graded by meet of pointwise residua; s(f)
+    # is a row over the mapping's domain, joined over each fibre of the mapping
+    _, table, m, mapping = delta
+    row = digits_of(lat.size, m, table[undigits(lat.size, [args[0](e) for e in mapping])])
+    acc = {}
+    for x, y in enumerate(mapping):
+        acc[y] = lat.join[acc[y]][row[x]] if y in acc else row[x]
+    return lat.meet_many(lat.impl[v][args[1](y)] for y, v in acc.items())
 
 
 def distribution_pointwise(lat, threshold: Fraction) -> dict:
@@ -159,6 +166,18 @@ def over(lat, threshold: Fraction, delta, argfn) -> int:
         if mass > threshold:
             out = lat.join[out][alpha]
     return out
+
+
+# -- stage-n consequence: the whole-stage sweep ---------------------------------------------
+
+
+def step_consequence(session, premises, phi, n, tower=None):
+    """Stage-n consequence; returns the first refuting stage element id."""
+    for f in (*premises, phi):
+        session.validate_formula(f)
+    col = stage_columns(session, tower or StageTower(session), [*premises, phi], n)
+    t = refutation(session, col, premises, phi)
+    return t is None, t
 
 
 # -- step-n soundness: the assignment sweep ----------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 
 from mvmodal import (Bin, BudgetError, Const, InputError, Modal, StageTower, StepEvaluator,
                      builtin_lattice, consequence, eval_model, eval_step, lemma2_model,
-                     model_to_dict, rank, satisfiable, step_consequence, subformulas, validity)
+                     model_to_dict, rank, satisfiable, subformulas, validity)
 from mvmodal.decision import _generated_model, _realized_types
 from conftest import make_session, random_formula
+from oracles import step_consequence
 from modelsearch import (oracle_finds_satisfying, oracle_refutes_validity,
                          rank1_pool)
 
@@ -93,14 +94,14 @@ def test_lemma2_model_realizes_stage(boolean_ps):
     from mvmodal import eval_step
     for text in ["box(p) -> diamond(p)", "box(p -> q)", "diamond(p | q)"]:
         phi = s.parse(text)
-        assert eval_model(s, m, phi).values == eval_step(s, phi, 1).values
+        assert eval_model(s, m, phi) == eval_step(s, phi, 1)
 
 
 def test_lemma2_model_stage_zero(luk3_ps):
     m = lemma2_model(luk3_ps, 0)
     assert m.n_states == 9
     vals = eval_model(luk3_ps, m, luk3_ps.parse("p"))
-    assert vals.values == tuple(luk3_ps.valuations.decode(t)[0] for t in range(9))
+    assert vals == tuple(luk3_ps.valuations.decode(t)[0] for t in range(9))
 
 
 def test_lemma2_model_serializes_for_powerset(boolean_ps1):
@@ -112,7 +113,7 @@ def test_lemma2_model_serializes_for_powerset(boolean_ps1):
 def test_lemma2_model_neighborhood_evaluates_but_does_not_serialize():
     s = make_session(functor="neighborhood", propositions=("p",))
     m = lemma2_model(s, 1)
-    assert eval_model(s, m, s.parse("box(p)")).values  # evaluates fine
+    assert eval_model(s, m, s.parse("box(p)"))  # evaluates fine
     with pytest.raises(InputError):
         model_to_dict(s, m)
 
@@ -176,7 +177,7 @@ def test_realized_types_agree_with_full_stage_sweep(algebra, functor):
     disagreements, compared = [], 0
     for phi, psi, n in differential_pool(s, tower, algebra, functor):
         compared += 1
-        swept = set(zip(eval_step(s, phi, n, tower).values, eval_step(s, psi, n, tower).values))
+        swept = set(zip(eval_step(s, phi, n, tower), eval_step(s, psi, n, tower)))
         if set(_realized_types(s, [phi, psi], n)[2].values()) != swept:
             disagreements.append((s.pretty(phi), s.pretty(psi)))
         for verdict, (holds, first) in (
@@ -248,7 +249,7 @@ def test_generated_model_keeps_the_root_value(functor):
     tower = StageTower(s)
     formulas = [s.parse(text) for text in ["p", "p -> p"] + [
         f"{name}({', '.join(['p'] * arity)})" for name, arity in s.registry.arities().items()]]
-    full_values = [eval_model(s, full, phi).values for phi in formulas]
+    full_values = [eval_model(s, full, phi) for phi in formulas]
     for t in range(0, full.n_states, max(1, full.n_states // 16)):
         sub = _generated_model(s, tower, 1, t)
         assert sub.n_states <= full.n_states

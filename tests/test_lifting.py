@@ -27,8 +27,8 @@ def test_powerset_box_diamond_tables():
     dia = get(BOOL, Powerset(BOOL), "diamond")
     f = (0, 1)
     # subsets of {0,1} in id order: {}, {0}, {1}, {0,1}
-    assert apply_lifting(box, 2, [f]).values == (1, 0, 1, 0)
-    assert apply_lifting(dia, 2, [f]).values == (0, 0, 1, 1)
+    assert apply_lifting(box, 2, [f]) == (1, 0, 1, 0)
+    assert apply_lifting(dia, 2, [f]) == (0, 0, 1, 1)
 
 
 @pytest.mark.parametrize("arg", [(1,), (0, 5), (1, 0, 1), (0.9, 1)],
@@ -244,24 +244,13 @@ def test_column_kernels_match_the_pointwise_reference(F, threshold):
     assert reshaped > 0 or getattr(F, "q", None) == 1  # one grid point never merges
 
 
-def test_lifting_built_from_a_pointwise_fn_runs_it_per_form():
-    F = Powerset(BOOL)
-    card = PredicateLifting(name="card", arity=1, functor=F, lat=BOOL,
-                            formula="card(f)(X) = |X| mod 2",
-                            fn=lambda lat, functor, delta, args: len(delta) % 2)
-    assert card.column(F.elements(2), [(0, 1)]) == [0, 1, 1, 0]
-    assert card.value_at(frozenset({0}), [(0, 1).__getitem__]) == 1
-    with pytest.raises(TypeError, match="exactly one of fn and kernel"):
-        PredicateLifting(name="none", arity=1, functor=F, lat=BOOL, formula="")
-
-
 def test_fault_injected_lifting_fails_naturality():
     F = Powerset(BOOL)
     # reads the raw size of the subset, which no relabeling-invariant map may do
     broken = PredicateLifting(
         name="card", arity=1, functor=F, lat=BOOL,
         formula="card(f)(X) = |X| mod 2",
-        fn=lambda lat, functor, delta, args: len(delta) % 2,
+        kernel=lambda lat, functor, forms, cols: [len(d) % 2 for d in forms],
     )
     report = check_naturality(broken, bound=2)
     assert not report.ok
