@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
 
-from .functors import push_delta
 from .report import BudgetError, InputError
 from .semantics import StageTower, TModel, eval_model, level_plan, stage_columns, tabulate
 from .session import Session
@@ -186,8 +185,8 @@ def _canonical_sigma(session: Session, tower: StageTower, n: int) -> Callable[[i
     if n == 0:
         form0 = session.functor.decode(tower.size(0), tower.iota0_id())
         return lambda t: form0
-    up = tower.iota_table(n - 1)
-    return lambda t: push_delta(session.lat, tower.decode1(n, t)[1], up.__getitem__)
+    F, up = session.functor, tower.iota_table(n - 1)
+    return lambda t: F.push_forms([tower.decode1(n, t)[1]], up)[0]
 
 
 def lemma2_model(session: Session, n: int, tower: StageTower | None = None) -> TModel:
@@ -203,28 +202,33 @@ def lemma2_model(session: Session, n: int, tower: StageTower | None = None) -> T
     if n == 0:
         sigma = [_canonical_sigma(session, tower, 0)(0)]
     else:
-        up = tower.iota_table(n - 1).__getitem__
-        sigma = [push_delta(session.lat, d, up) for d in session.functor.elements(tower.size(n - 1))]
+        F = session.functor
+        sigma = F.push_forms(F.elements(tower.size(n - 1)), tower.iota_table(n - 1))
     return TModel(valuation, tuple(sigma) * vals.size)
+
+
+class _Discovery(dict):
+    """Renames states to 0, 1, ... in the order they are first looked up,
+    starting with root; order lists the states so renamed."""
+
+    def __init__(self, root: int):
+        super().__init__({root: 0})
+        self.order = [root]
+
+    def __missing__(self, t: int) -> int:
+        self[t] = len(self.order)
+        self.order.append(t)
+        return self[t]
 
 
 def _generated_model(session: Session, tower: StageTower, n: int, root: int) -> TModel:
     """The sub-coalgebra of lemma2_model(n) generated by state root, renumbered
     in discovery order with root as state 0."""
-    sigma_of = _canonical_sigma(session, tower, n)
-    ids = {root: 0}
-    order = [root]
-
-    def rename(t: int) -> int:
-        if t not in ids:
-            ids[t] = len(order)
-            order.append(t)
-        return ids[t]
-
+    sigma_of, ids = _canonical_sigma(session, tower, n), _Discovery(root)
     sigma = []
-    for t in order:  # grows while it is walked
-        sigma.append(push_delta(session.lat, sigma_of(t), rename))
-    valuation = tuple(session.valuations.decode(tower.decode1(n, t)[0]) for t in order)
+    for t in ids.order:  # grows while it is walked
+        sigma += session.functor.push_forms([sigma_of(t)], ids)
+    valuation = tuple(session.valuations.decode(tower.decode1(n, t)[0]) for t in ids.order)
     return TModel(valuation, tuple(sigma))
 
 

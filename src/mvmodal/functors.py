@@ -31,6 +31,14 @@ finite carriers in closed form, which is all the exhaustive checkers need:
 equal to ``[decode(n, x) for x in range(size(n))]``, and ``map_table(f, dom_n,
 cod_n)`` is the id table of T(f), equal to encoding ``push_delta`` of each
 decoded element along f, with the work all elements share done once per map.
+``push_forms(forms, f)`` applies T(f) to a list of delta forms along an
+indexable id table f, which is how the approximation maps, the canonical
+models and the naturality check push transitions: it equals ``[push_delta(lat,
+d, f.__getitem__) for d in forms]``, each functor folding its own leaves and
+ordering int leaves with plain ``sorted``. ``push_delta`` is the callable route
+along any base-element map, kept for the nested stage elements
+(``StageTower.decode_full``/``encode_full``, ``sigma_states``), whose leaves
+are trees ordered by ``sort_key``.
 
 ``modal_vectors(nodes, m, budget, level)`` is the one-step structure the
 deciders read: the exact set of value vectors that the named liftings take
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice, product
 from operator import getitem
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import ResiduatedLattice
 from .report import BudgetError, InputError, ValidationReport, as_int
@@ -249,6 +257,13 @@ class Functor:
         carriers must be enumerable."""
         raise NotImplementedError
 
+    def push_forms(self, forms: Iterable, f) -> list:
+        """T(f) on each delta form of forms, for f indexable by their leaves
+        and holding ints: [push_delta(lat, d, f.__getitem__) for d in forms].
+        Leaves first reach f in push_delta's order, so a dict whose
+        __missing__ numbers new keys renumbers them as push_delta would."""
+        raise NotImplementedError
+
     def modal_vectors(self, nodes: Sequence[tuple], m: int, budget: int, level: int) -> set[tuple]:
         """The distinct value vectors of nodes, (lifting, argument columns)
         pairs, over T(m); see the module docstring."""
@@ -352,11 +367,15 @@ class Powerset(Functor):
             out += [v | bit for v in out]
         return out
 
+    def push_forms(self, forms, f):
+        get = f.__getitem__
+        return [frozenset(map(get, d)) for d in forms]
+
     def base_elem(self, n: int):
         return frozenset()
 
     def describe(self, delta, elem_text) -> str:
-        inner = ", ".join(elem_text(e) for e in sorted(delta, key=sort_key))
+        inner = ", ".join(elem_text(e) for e in sorted(delta))
         return "{" + inner + "}"
 
     def sigma_from_json(self, n: int, ids):
@@ -432,6 +451,17 @@ class FuzzyHom(Functor):
         a, join, fill = self.lat.size, self.lat.join, [self.lat.bot] * cod_n
         return [undigits(a, _join_image(join, f_table, pairs, fill[:]))
                 for _, pairs in self.elements(dom_n)]
+
+    def push_forms(self, forms, f):
+        # direct image with joins: (Hf g)(y) = join of g over the fibre of y
+        join, out = self.lat.join, []
+        for _, pairs in forms:
+            acc: dict = {}
+            for e, v in pairs:
+                y = f[e]
+                acc[y] = join[acc[y]][v] if y in acc else v
+            out.append(("fz", tuple(sorted(acc.items()))))
+        return out
 
     def base_elem(self, n: int):
         return ("fz", ())
@@ -511,6 +541,16 @@ class Neighborhood(Functor):
         a, pre = self.lat.size, _pullbacks(self.lat.size, f_table, cod_n)
         return [undigits(a, [base[i] for i in pre])
                 for base in product(range(a), repeat=self._homsize(dom_n))]
+
+    def push_forms(self, forms, f):
+        # forms sharing a mapping object get one pushed mapping object, which
+        # the kernels read once per distinct object
+        get, last, pushed, out = f.__getitem__, None, (), []
+        for _, base, mapping in forms:
+            if mapping is not last:
+                last, pushed = mapping, tuple(map(get, mapping))
+            out.append(("nb", base, pushed))
+        return out
 
     def encode(self, n: int, delta) -> int:
         # N read through the pullback of every g in Hom(n, A), as map_table does
@@ -615,6 +655,14 @@ class Selection(Functor):
                 for row in product(range(a), repeat=dom_n)]
         return [undigits(h_cod, [push[table[i]] for i in pre])
                 for table in product(range(h_dom), repeat=h_dom)]
+
+    def push_forms(self, forms, f):
+        get, last, pushed, out = f.__getitem__, None, (), []
+        for _, table, m, mapping in forms:
+            if mapping is not last:
+                last, pushed = mapping, tuple(map(get, mapping))
+            out.append(("sel", table, m, pushed))
+        return out
 
     def encode(self, n: int, delta) -> int:
         # the join-image along mapping of s(g . mapping), for every g in Hom(n, A)
@@ -740,6 +788,16 @@ class Distribution(Functor):
                 x += run[left][i] - run[left][prev] + block[i][left - c]
                 left, prev = left - c, i + 1
             out.append(x)
+        return out
+
+    def push_forms(self, forms, f):
+        out = []
+        for _, pairs, q in forms:
+            acc: dict = {}
+            for e, c in pairs:
+                y = f[e]
+                acc[y] = acc.get(y, 0) + c
+            out.append(("ds", tuple(sorted(acc.items())), q))
         return out
 
     def base_elem(self, n: int):

@@ -20,7 +20,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .algebra import ResiduatedLattice
-from .functors import Functor, push_delta
+from .functors import Functor
 from .report import BudgetError, InputError, ValidationReport
 
 __all__ = [
@@ -138,7 +138,7 @@ def check_naturality(lifting: PredicateLifting, bound: int = 2, budget: int = 10
         deltas = list(F.elements(a))
         for b in range(bound + 1):
             for f in product(range(b), repeat=a):
-                pushed = [push_delta(lat, d, lambda e: f[e]) for d in deltas]
+                pushed = F.push_forms(deltas, f)
                 for hs in product(product(range(lat.size), repeat=b), repeat=lifting.arity):
                     through_args = lifting.column(deltas, [[h[x] for x in f] for h in hs])
                     through_map = lifting.column(pushed, hs)

@@ -457,23 +457,34 @@ class ModelImages:
     """A model's images in stages 0..n, hash-consed: ids[k][s] is the id of
     state s's stage-k image, forms[k][i] the (nu, form) of image i over level-(k-1)
     image ids and tforms[k][i] its T-component form alone. Ids are equal
-    exactly when the nested images of sigma_states are."""
+    exactly when the nested images of sigma_states are, and are numbered in
+    order of the first state with each image.
+
+    Level k pushes all transitions along the level-(k-1) ids at once. A state's
+    level-k image determines its level-(k-1) image, so each level's partition
+    of the states refines the one below. Once two consecutive levels have
+    equal ids, every higher level has the same keys, so the levels from there
+    to n are not recomputed: they share the last computed level's ids, forms
+    and tforms lists (the same list objects, not copies)."""
 
     def __init__(self, session: Session, model: TModel, n: int):
         self.s = session
-        nus = [model.nu(session, s) for s in range(model.n_states)]
-        keys: list[tuple] = [(nu, None) for nu in nus]
+        nus = list(map(session.valuations.encode, model.valuation))
+        keys = [(nu, None) for nu in nus]
         self.ids: list[list[int]] = []
         self.forms: list[list[tuple]] = []
         self.tforms: list[list] = []
         for k in range(n + 1):
             if k:
-                read = self.ids[-1].__getitem__
-                keys = [(nu, push_delta(session.lat, d, read)) for nu, d in zip(nus, model.sigma)]
+                if k > 1 and self.ids[-1] == self.ids[-2]:
+                    break  # a fixed point: level k repeats level k-1
+                keys = zip(nus, session.functor.push_forms(model.sigma, self.ids[-1]))
             index: dict[tuple, int] = {}
             self.ids.append([index.setdefault(key, len(index)) for key in keys])
             self.forms.append(list(index))
             self.tforms.append([form for _, form in index])
+        for levels in (self.ids, self.forms, self.tforms):
+            levels += [levels[-1]] * (n + 1 - len(levels))
 
     def size(self, k: int) -> int:
         return len(self.forms[k])
@@ -496,9 +507,9 @@ def sigma_k(session: Session, model: TModel, k: int, tower: StageTower | None = 
         tower._guard_encode(j)
     stage = [nu for nu, _ in images.forms[0]]
     for j in range(1, k + 1):
-        m, step, read = tower.size(j - 1), tower.tsize(j - 1), stage.__getitem__
-        stage = [nu * step + F.encode(m, push_delta(session.lat, form, read))
-                 for nu, form in images.forms[j]]
+        m, step = tower.size(j - 1), tower.tsize(j - 1)
+        pushed = F.push_forms(images.tforms[j], stage)
+        stage = [nu * step + F.encode(m, form) for (nu, _), form in zip(images.forms[j], pushed)]
     return [stage[i] for i in images.ids[k]]
 
 
@@ -508,10 +519,9 @@ def sigma_k(session: Session, model: TModel, k: int, tower: StageTower | None = 
 def check_truth_lemma(session: Session, model: TModel, phi: Formula) -> ValidationReport:
     """Model semantics == stage-rank semantics composed with the approximation map,
     state by state, exactly."""
-    session.validate_formula(phi)
+    model_vals = eval_model(session, model, phi)  # validates phi first
     n = rank(phi)
     report = ValidationReport(subject=f"truth lemma at rank {n}")
-    model_vals = eval_model(session, model, phi)
     images = ModelImages(session, model, n)
     step = stage_columns(session, images, [phi], n)[phi]
     for s, i in enumerate(images.ids[n]):

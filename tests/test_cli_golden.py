@@ -96,6 +96,18 @@ def _models():
         yield cfg, ["check", "naturality", lifting]
 
 
+# rank-3 truth lemmas: states already distinct at level 0, so the image
+# partition is stable from level 1; and a 6-state chain, whose partition
+# refines at every level
+LUK_PQ = {"algebra": "lukasiewicz:3", "functor": "powerset", "propositions": PQ}
+BOOL_P = {"algebra": "boolean", "functor": "powerset", "propositions": ["p"]}
+DEEP = [
+    (LUK_PQ, ["check", "truth-lemma", "--model", "{model_stable}",
+              "box(diamond(box(p))) -> diamond(q)"]),
+    (BOOL_P, ["check", "truth-lemma", "--model", "{model_chain}",
+              "diamond(diamond(diamond(p))) -> box(p)"]),
+]
+
 PROOFS = [
     (None, ["check", "derivation", "{derivation}"]),
     (None, ["check", "axioms", "{axioms}", "--n", "1"]),
@@ -108,6 +120,10 @@ FILES = {
     "axioms": [{"name": "K", "premises": [], "conclusion": "box(p -> q) -> (box(p) -> box(q))"},
                {"name": "boxbot", "premises": [], "conclusion": "box(c0)"}],
     **{"model_" + functor.split(":")[0]: model for functor, (model, *_) in MODELS.items()},
+    "model_stable": {"states": 3, "valuation": [[2, 0], [1, 2], [0, 1]],
+                     "sigma": [[1, 2], [0], []]},
+    "model_chain": {"states": 6, "valuation": [[1], [0], [1], [0], [1], [1]],
+                    "sigma": [[1], [2], [3], [4], [5], []]},
 }
 
 # one formula per ParseError message of mvmodal.parsing
@@ -126,7 +142,7 @@ MALFORMED = [
     " & ".join(["p"] * 102),               # connectives nest too deep
 ]
 
-CASES = C10 + list(_witnessed()) + list(_models()) + PROOFS + [(None, ["valid", f]) for f in MALFORMED]
+CASES = C10 + list(_witnessed()) + list(_models()) + DEEP + PROOFS + [(None, ["valid", f]) for f in MALFORMED]
 
 
 def render(workdir: Path) -> str:

@@ -8,6 +8,7 @@ from mvmodal import (BudgetError, Distribution, FuzzyHom, InputError, Neighborho
                      Powerset, Selection, ValuationSet, builtin_lattice,
                      check_functor_laws, make_functor, push_delta, standard_liftings)
 from mvmodal.functors import digits_of, undigits
+from conftest import make_session, random_model
 from oracles import enumerated_modal_vectors, generic_map_table
 
 BOOL = builtin_lattice("boolean", 2)
@@ -92,6 +93,59 @@ def test_push_neighborhood_relabels_mapping():
     delta = F.decode(2, 11)
     pushed = push_delta(BOOL, delta, lambda x: x + 10)
     assert pushed == ("nb", delta[1], (10, 11))
+
+
+PUSH_SPECS = ["powerset", "fuzzyhom", "neighborhood", "selection",
+              "distribution:1", "distribution:2", "distribution:3"]
+
+
+def _push_cases(s, rng):
+    """(m, forms over m points) pairs: all of T(m) for m <= 3 where it is
+    small, and the transitions of seeded m-state models."""
+    F = s.functor
+    cases = [(m, list(F.elements(m))) for m in range(4) if F.fits(m, 4096) is not None]
+    return cases + [(m, list(random_model(s, m, rng).sigma)) for m in (1, 2, 3) for _ in range(3)]
+
+
+@pytest.mark.parametrize("spec", PUSH_SPECS)
+@pytest.mark.parametrize("algebra", ["boolean", "lukasiewicz:3", "goedel:4"])
+def test_push_forms_matches_push_delta(algebra, spec):
+    """Along the identity, a constant map and seeded id tables into 1..m+1
+    points, push_forms gives push_delta's form for every form."""
+    s = make_session(algebra=algebra, functor=spec, propositions=("p",))
+    rng = random.Random(f"push_forms:{algebra}:{spec}")
+    compared = disagreements = merging = 0
+    for m, forms in _push_cases(s, rng):
+        maps = [tuple(range(m)), (0,) * m]
+        maps += [tuple(rng.randrange(cod) for _ in range(m)) for cod in range(1, m + 2)]
+        for f in maps:
+            want = [push_delta(s.lat, d, f.__getitem__) for d in forms]
+            got = s.functor.push_forms(forms, f)
+            compared += len(want)
+            disagreements += len(got) != len(want) or sum(a != b for a, b in zip(got, want))
+            merging += len(set(f)) < m
+    assert disagreements == 0
+    assert compared > 100 and merging > 5
+
+
+@pytest.mark.parametrize("spec", PUSH_SPECS[:5])
+def test_push_forms_renames_leaves_in_push_delta_order(spec):
+    """A dict whose __missing__ numbers unseen leaves numbers them as a
+    renaming callable passed to push_delta does."""
+
+    class Numbering(dict):
+        def __missing__(self, key):
+            self[key] = len(self)
+            return self[key]
+
+    s = make_session(algebra="lukasiewicz:3", functor=spec, propositions=("p",))
+    rng = random.Random(f"renaming:{spec}")
+    for m, forms in _push_cases(s, rng):
+        forms = forms[::-1]  # leaves reach the numbering out of id order
+        ids, seen = Numbering(), {}
+        want = [push_delta(s.lat, d, lambda t: seen.setdefault(t, len(seen))) for d in forms]
+        assert s.functor.push_forms(forms, ids) == want, m
+        assert list(ids) == list(seen)
 
 
 def test_functor_laws_all_functors_boolean():

@@ -9,7 +9,7 @@ from mvmodal import (BudgetError, InputError, StageTower, StepEvaluator,
 from mvmodal.functors import push_delta
 from mvmodal.report import ValidationReport
 from mvmodal.semantics import ModelImages, stage_columns
-from mvmodal.syntax import rank
+from mvmodal.syntax import Bin, Prop, rank
 from conftest import make_session, random_formula, random_model
 from oracles import step_consequence
 
@@ -241,6 +241,53 @@ def test_model_images_match_nested_oracle_dense_goedel4():
     _assert_images_match_nested_oracle(s, m, formulas)
 
 
+# transitions of boolean powerset models whose image partition stops
+# refining at a given level when every state has the same valuation, and the
+# number of levels ModelImages then computes: the last one repeats the level
+# below it. The two states of the first are told apart at level 1; states 2
+# and 3 of the second only at level 2; the chain splits one state off at
+# every level up to 5
+STOP_LEVEL_MODELS = {
+    "stable-from-1": ([[], [0]], 3),
+    "stable-from-2": ([[], [0], [1], [1]], 4),
+    "chain": ([[1], [2], [3], [4], [5], []], 6),
+}
+
+
+@pytest.mark.parametrize("kind", STOP_LEVEL_MODELS)
+def test_model_images_stop_at_the_fixed_point(boolean_ps1, kind):
+    """Past the level where the image partition stops refining, ModelImages
+    reuses that level's lists, and every level up to 5 still matches the
+    nested images and the pointwise stage values."""
+    s = boolean_ps1
+    sigma, computed = STOP_LEVEL_MODELS[kind]
+    n = len(sigma)
+    formulas = [s.parse(f) for f in ("diamond(diamond(diamond(diamond(diamond(p)))))",
+                                     "box(box(box(c0))) | diamond(box(diamond(p)))",
+                                     "box(diamond(box(box(p)) -> p)) & diamond(c1)")]
+    for valuation in ([[1]] * n, [[i % 2] for i in range(n)]):
+        m = load_model(s, {"states": n, "valuation": valuation, "sigma": sigma})
+        _assert_images_match_nested_oracle(s, m, formulas, top=5)
+        images = ModelImages(s, m, 5)
+        levels = len({id(ids) for ids in images.ids})
+        assert images.ids[5] is images.ids[levels - 1]
+        if valuation == [[1]] * n:
+            assert levels == computed
+
+
+@pytest.mark.parametrize("kind", STOP_LEVEL_MODELS)
+def test_sigma_k_past_the_fixed_point_matches_nested_encoding(kind):
+    """Without propositions, boolean powerset stage 4 has 65536 elements, so
+    each level's ids encode even where the images stopped refining."""
+    s = make_session(propositions=())
+    sigma = STOP_LEVEL_MODELS[kind][0]
+    m = load_model(s, {"states": len(sigma), "valuation": [[]] * len(sigma), "sigma": sigma})
+    tower = StageTower(s)
+    for k in range(5):
+        assert sigma_k(s, m, k, StageTower(s)) == [tower.encode_full(k, e)
+                                                   for e in sigma_states(s, m, k)], k
+
+
 @pytest.mark.parametrize("functor", FUNCTORS)
 def test_sigma_k_matches_nested_encoding(functor):
     s = make_session(functor=functor, propositions=("p",))
@@ -277,6 +324,17 @@ def test_truth_lemma_randomized(functor):
         phi = random_formula(s, rng, max_rank=2)
         report = check_truth_lemma(s, m, phi)
         assert report.ok, (functor, s.pretty(phi), report.summary())
+
+
+def test_truth_lemma_rejects_an_undeclared_proposition_as_eval_model_does(boolean_ps1):
+    s = boolean_ps1
+    m = load_model(s, {"states": 1, "valuation": [[1]], "sigma": [[0]]})
+    phi = Bin("imp", s.parse("box(p)"), Prop("r"))
+    with pytest.raises(InputError, match="undeclared proposition 'r'") as want:
+        eval_model(s, m, phi)
+    with pytest.raises(InputError) as got:
+        check_truth_lemma(s, m, phi)
+    assert str(got.value) == str(want.value)
 
 
 def test_truth_lemma_detects_broken_step_semantics(boolean_ps1, monkeypatch):
