@@ -24,7 +24,7 @@ broken = PredicateLifting(
     name="card", arity=1, functor=Powerset(builtin_lattice("boolean")),
     lat=builtin_lattice("boolean"),
     formula="card(f)(X) = |X| mod 2",
-    kernel=lambda lat, functor, forms, cols: [len(d) % 2 for d in forms],
+    kernel=lambda lat, forms, cols: [len(d) % 2 for d in forms],
 )
 report = check_naturality(broken, bound=2)
 print(report.summary())

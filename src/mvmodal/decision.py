@@ -21,7 +21,8 @@ consequence, or a positive satisfiability, needs a witness: the first
 element of stage n in id order that realizes a deciding type. Stage ids are
 valuation-major, so that is the first valuation that starts such a type with
 the first T-component over stage n-1 that completes it, read off the
-stage-(n-1) columns of the modal arguments; stage n must still fit the
+stage-(n-1) columns of the modal arguments by ``functors.lifted`` on chunks
+of T(stage n-1) that double up to 512 forms; stage n must still fit the
 budget. A satisfiability witness is re-checked through the model evaluator
 on the part of the canonical stage-n model it generates, so every "yes"
 comes with a concrete finite model.
@@ -32,6 +33,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
 
+from .functors import lifted
 from .report import BudgetError, InputError
 from .semantics import StageTower, TModel, eval_model, level_plan, stage_columns, tabulate
 from .session import Session
@@ -68,15 +70,6 @@ def _resolve_stage(formulas: Sequence[Formula], n: int | None) -> int:
 
 
 # -- realized types ----------------------------------------------------------------
-
-
-def _lifted(session: Session, modals: list[Modal], column: dict, m: int):
-    """Each element of T(m), in id order, with the value vector of modals
-    there; column[a] holds argument a's values over the m base elements."""
-    nodes = [(session.registry.get(M.name).column, [column[a] for a in M.args]) for M in modals]
-    for d in session.functor.elements(m):
-        one = (d,)
-        yield d, tuple(lift(one, cols)[0] for lift, cols in nodes)
 
 
 def _modal_vectors(session: Session, modals: list[Modal], below: list[Formula],
@@ -139,12 +132,13 @@ def _witness(session: Session, tower: StageTower, n: int, formulas: Sequence[For
     subs = list(dict.fromkeys(g for f in formulas for g in subformulas(f)))
     args = [a for g in subs if isinstance(g, Modal) for a in g.args]
     below = stage_columns(session, tower, args, n - 1) if modals else {}
-    lifted = _lifted(session, modals, below, tower.size(n - 1)) if modals else [(None, ())]
+    nodes = [(session.registry.get(M.name), [below[a] for a in M.args]) for M in modals]
+    scan = lifted(nodes, session.functor.elements(tower.size(n - 1))) if modals else [(None, ())]
     starts = {pv for pv, _ in good}
     vecs = (tuple(vals.value(nu, pidx[p]) for p in props) for nu in range(vals.size))
     try:
         nu, pv = next((nu, pv) for nu, pv in enumerate(vecs) if pv in starts)
-        x, d = next((x, d) for x, (d, mv) in enumerate(lifted) if (pv, mv) in good)
+        x, d = next((x, d) for x, (d, mv) in enumerate(scan) if (pv, mv) in good)
     except StopIteration:
         raise RuntimeError(f"internal coherence failure: a realized type at stage {n} "
                            "has no stage element") from None

@@ -5,8 +5,8 @@ Every functor assigns each finite carrier size n a canonically enumerated set
 T(n) (ids 0..|T(n)|-1) together with decode/encode between ids and structured
 "delta forms", and declares its predicate liftings, whose evaluators read
 those forms; no other module reads a delta form. Each lifting has one
-evaluator, a column kernel ``(lat, functor, forms, cols) -> list[int]``: it
-walks a sequence of delta forms and reads argument i as ``cols[i][x]`` from an
+evaluator, a column kernel ``(lat, forms, cols) -> list[int]``: it walks a
+sequence of delta forms and reads argument i as ``cols[i][x]`` from an
 indexable column over base elements, with the lattice tables held in locals,
 so a whole column costs no call per element. Delta forms are small
 hashable trees whose leaves are base-set elements; crucially they also
@@ -50,8 +50,11 @@ enumerating T(m): each closure folds one point at a time, where one option
 at every point is the identity, so the running set only grows, and it raises
 a BudgetError naming the modal vectors at ``level`` as soon as that set
 exceeds ``budget``. The distributions run their kernels over T(m), whose
-size grows only polynomially in m, behind the ``fits`` guard. The closures
-rest on the lattice laws, which every Session checks.
+size grows only polynomially in m, behind the ``fits`` guard, through
+``lifted(nodes, forms)``, the one scan of forms through the kernels (the
+deciders' witness scan reads it too): it yields each form with the nodes'
+value vector there, lifting chunks that double from 1 up to 512 forms. The
+closures rest on the lattice laws, which every Session checks.
 """
 from __future__ import annotations
 
@@ -76,6 +79,7 @@ __all__ = [
     "Selection",
     "Distribution",
     "make_functor",
+    "lifted",
     "push_delta",
     "sort_key",
     "digits_of",
@@ -241,9 +245,9 @@ class Functor:
 
     def liftings(self, threshold: Fraction) -> list[tuple]:
         """The standard predicate liftings as (name, arity, formula, kernel)
-        rows; kernel(lat, functor, forms, cols) is the list of the lifted
-        predicate's values at the delta forms in forms, with argument i given
-        as an indexable column cols[i] over base elements."""
+        rows; kernel(lat, forms, cols) is the list of the lifted predicate's
+        values at the delta forms in forms, with argument i given as an
+        indexable column cols[i] over base elements."""
         raise InputError(f"no standard liftings for functor {self.name!r}")
 
     def elements(self, n: int) -> Iterator:
@@ -268,6 +272,17 @@ class Functor:
         """The distinct value vectors of nodes, (lifting, argument columns)
         pairs, over T(m); see the module docstring."""
         raise NotImplementedError
+
+
+def lifted(nodes: Sequence[tuple], forms: Iterable) -> Iterator[tuple]:
+    """Each delta form of forms, in order, with the value vector there of
+    nodes, (lifting, argument columns) pairs. The kernels run on chunks of
+    1, 2, 4, ... up to 512 forms, so a scan that stops after j forms has
+    drawn at most 2j of them, or j + 512 past the cap."""
+    forms, size = iter(forms), 1
+    while chunk := list(islice(forms, size)):
+        yield from zip(chunk, zip(*(lf.column(chunk, cols) for lf, cols in nodes)))
+        size = min(2 * size, 512)
 
 
 def _over_budget(budget: int, level: int) -> BudgetError:
@@ -313,26 +328,19 @@ def _pullbacks(a: int, f: Sequence[int], cod_n: int) -> list[int]:
     return [undigits(a, [g[y] for y in f]) for g in product(range(a), repeat=cod_n)]
 
 
-def _box_powerset(lat, F, forms, cols):
-    meet, top, f = lat.meet, lat.top, cols[0]
-    out = []
-    for subset in forms:
-        v = top
-        for x in subset:
-            v = meet[v][f[x]]
-        out.append(v)
-    return out
-
-
-def _diamond_powerset(lat, F, forms, cols):
-    join, bot, f = lat.join, lat.bot, cols[0]
-    out = []
-    for subset in forms:
-        v = bot
-        for x in subset:
-            v = join[v][f[x]]
-        out.append(v)
-    return out
+def _subset_kernel(op: str, unit: str) -> Callable:
+    """The powerset kernel that folds f over a subset by lat.<op>, starting
+    from lat.<unit>: box is (meet, top), diamond (join, bot)."""
+    def kernel(lat, forms, cols):
+        fold, start, f = getattr(lat, op), getattr(lat, unit), cols[0]
+        out = []
+        for subset in forms:
+            v = start
+            for x in subset:
+                v = fold[v][f[x]]
+            out.append(v)
+        return out
+    return kernel
 
 
 class Powerset(Functor):
@@ -387,8 +395,8 @@ class Powerset(Functor):
         return sorted(delta)
 
     def liftings(self, threshold: Fraction) -> list[tuple]:
-        return [("box", 1, "box(f)(X) = meet of f(x) over x in X", _box_powerset),
-                ("diamond", 1, "diamond(f)(X) = join of f(x) over x in X", _diamond_powerset)]
+        return [("box", 1, "box(f)(X) = meet of f(x) over x in X", _subset_kernel("meet", "top")),
+                ("diamond", 1, "diamond(f)(X) = join of f(x) over x in X", _subset_kernel("join", "bot"))]
 
     def modal_vectors(self, nodes, m, budget, level):
         # a subset is a choice of grade top or bot at each point: box folds
@@ -398,27 +406,20 @@ class Powerset(Functor):
                             budget, level)
 
 
-def _box_fuzzyhom(lat, F, forms, cols):
-    # meet over the whole base of g(x) -> f(x); absent points give top
-    meet, impl, top, f = lat.meet, lat.impl, lat.top, cols[0]
-    out = []
-    for _, pairs in forms:
-        v = top
-        for x, g in pairs:
-            v = meet[v][impl[g][f[x]]]
-        out.append(v)
-    return out
-
-
-def _diamond_fuzzyhom(lat, F, forms, cols):
-    join, mono, bot, f = lat.join, lat.mono, lat.bot, cols[0]
-    out = []
-    for _, pairs in forms:
-        v = bot
-        for x, g in pairs:
-            v = join[v][mono[g][f[x]]]
-        out.append(v)
-    return out
+def _graded_kernel(op: str, grade: str, unit: str) -> Callable:
+    """The fuzzyhom kernel that folds lat.<grade>[g(x)][f(x)] over the whole
+    base by lat.<op>, starting from lat.<unit>, so absent points change
+    nothing: box is (meet, impl, top), diamond (join, mono, bot)."""
+    def kernel(lat, forms, cols):
+        fold, by, start, f = getattr(lat, op), getattr(lat, grade), getattr(lat, unit), cols[0]
+        out = []
+        for _, pairs in forms:
+            v = start
+            for x, g in pairs:
+                v = fold[v][by[g][f[x]]]
+            out.append(v)
+        return out
+    return kernel
 
 
 class FuzzyHom(Functor):
@@ -482,8 +483,8 @@ class FuzzyHom(Functor):
         return vals
 
     def liftings(self, threshold: Fraction) -> list[tuple]:
-        return [("box", 1, "box(f)(g) = meet over x of g(x) -> f(x)", _box_fuzzyhom),
-                ("diamond", 1, "diamond(f)(g) = join over x of g(x) * f(x)", _diamond_fuzzyhom)]
+        return [("box", 1, "box(f)(g) = meet over x of g(x) -> f(x)", _graded_kernel("meet", "impl", "top")),
+                ("diamond", 1, "diamond(f)(g) = join over x of g(x) * f(x)", _graded_kernel("join", "mono", "bot"))]
 
     def modal_vectors(self, nodes, m, budget, level):
         box = [lf.name == "box" for lf, _ in nodes]
@@ -499,7 +500,7 @@ def _code(a: int, f, mapping) -> int:
     return code
 
 
-def _box_neighborhood(lat, F, forms, cols):
+def _box_neighborhood(lat, forms, cols):
     # N(f) reads N's table at f on its mapping; forms of one T(n) share theirs
     a, f, last, code = lat.size, cols[0], None, 0
     out = []
@@ -510,14 +511,27 @@ def _box_neighborhood(lat, F, forms, cols):
     return out
 
 
-class Neighborhood(Functor):
-    """T(S) = Hom(Hom(S, A), A); doubly contravariant, hence covariant."""
+class _TableValued(Functor):
+    """Elements are tables over Hom(n, A), so encode walks that domain; a
+    delta form holds its table at index 1 and its mapping last."""
 
-    name = "neighborhood"
     table_valued = True
 
     def _homsize(self, n: int) -> int:
         return self.lat.size ** n
+
+    def sigma_to_json(self, n: int, delta) -> list[int]:
+        # only a table indexed by the state set itself is a model-file row
+        if tuple(delta[-1]) != tuple(range(n)):
+            raise InputError("transition tables are indexed off the state set; "
+                             "this model evaluates but does not serialize")
+        return list(delta[1])
+
+
+class Neighborhood(_TableValued):
+    """T(S) = Hom(Hom(S, A), A); doubly contravariant, hence covariant."""
+
+    name = "neighborhood"
 
     def size(self, n: int) -> int:
         return self.lat.size ** self._homsize(n)
@@ -572,9 +586,6 @@ class Neighborhood(Functor):
             raise InputError(f"expected {self._homsize(n)} table entries below {self.lat.size}")
         return ("nb", tuple(vals), tuple(range(n)))
 
-    def sigma_to_json(self, n: int, delta) -> list[int]:
-        return _table_row(n, delta[1], delta[2])
-
     def liftings(self, threshold: Fraction) -> list[tuple]:
         return [("box", 1, "box(f)(N) = N(f)", _box_neighborhood)]
 
@@ -588,7 +599,7 @@ class Neighborhood(Functor):
         return {tuple(vals[i] for i in slot) for vals in product(range(a), repeat=len(classes))}
 
 
-def _cond_selection(lat, F: Selection, forms, cols):
+def _cond_selection(lat, forms, cols):
     # s(f) included in g, inclusion graded by the meet of pointwise residua.
     # Per mapping, the code of f on it and one (g(y), first x, other xs)
     # entry per fibre of y, in the order _join_image joins a row's values
@@ -617,14 +628,10 @@ def _cond_selection(lat, F: Selection, forms, cols):
     return out
 
 
-class Selection(Functor):
+class Selection(_TableValued):
     """T(S) = Hom(Hom(S, A), Hom(S, A)) with join-direct-image relabelling."""
 
     name = "selection"
-    table_valued = True
-
-    def _homsize(self, n: int) -> int:
-        return self.lat.size ** n
 
     def size(self, n: int) -> int:
         h = self._homsize(n)
@@ -686,9 +693,6 @@ class Selection(Functor):
         if len(vals) != h or any(not 0 <= v < h for v in vals):
             raise InputError(f"expected {h} function ids below {h}")
         return ("sel", tuple(vals), n, tuple(range(n)))
-
-    def sigma_to_json(self, n: int, delta) -> list[int]:
-        return _table_row(n, delta[1], delta[3])
 
     def liftings(self, threshold: Fraction) -> list[tuple]:
         return [("cond", 2, "cond(f,g)(s) = meet over x of s(f)(x) -> g(x)", _cond_selection)]
@@ -840,7 +844,7 @@ class Distribution(Functor):
         up = [[a for a in range(lat.size) if lat.leq(a, b)] for b in range(lat.size)]
         tn, td = threshold.numerator, threshold.denominator
 
-        def prob(lat, F, forms, cols):
+        def prob(lat, forms, cols):
             # the largest value <= total/(D*q), and bot when bot is larger; as
             # num increases, num[i] * q <= total exactly when num[i] <= total // q
             f, bot, out = cols[0], lat.bot, []
@@ -851,7 +855,7 @@ class Distribution(Functor):
                 out.append(max(bisect_right(num, total // q) - 1, bot))
             return out
 
-        def over(lat, F, forms, cols):
+        def over(lat, forms, cols):
             # mass[alpha] / q is mu of the cut {x : alpha <= f(x)}
             f, join, bot, size, out = cols[0], lat.join, lat.bot, lat.size, []
             for _, pairs, q in forms:
@@ -874,21 +878,12 @@ class Distribution(Functor):
         # every possible vector has appeared
         if self.fits(m, budget) is None:
             raise BudgetError(f"T(realized types at level {level - 1})", self.size_text(m), budget)
-        every, out, forms = self.lat.size ** len(nodes), set(), self.elements(m)
-        while chunk := list(islice(forms, 512)):
-            out.update(zip(*(lf.column(chunk, cols) for lf, cols in nodes)))
+        every, out = self.lat.size ** len(nodes), set()
+        for _, vector in lifted(nodes, self.elements(m)):
+            out.add(vector)
             if len(out) == every:
                 break
         return out
-
-
-def _table_row(n: int, table, mapping) -> list[int]:
-    """A function-table transition as a model-file row; only a table indexed
-    by the state set itself has one."""
-    if tuple(mapping) != tuple(range(n)):
-        raise InputError("transition tables are indexed off the state set; "
-                         "this model evaluates but does not serialize")
-    return list(table)
 
 
 _KINDS = {f.name: f for f in (Powerset, FuzzyHom, Neighborhood, Selection)}

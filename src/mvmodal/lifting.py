@@ -47,8 +47,8 @@ class _Calls:
 
 @dataclass(frozen=True, eq=False)
 class PredicateLifting:
-    """kernel(lat, functor, forms, cols) gives the values at a sequence of
-    delta forms with the arguments as indexable columns (see functors.py)."""
+    """kernel(lat, forms, cols) gives the values at a sequence of delta forms
+    with the arguments as indexable columns (see functors.py)."""
 
     name: str
     arity: int
@@ -60,10 +60,10 @@ class PredicateLifting:
     def column(self, forms: Iterable, cols: Sequence[Sequence[int]]) -> list[int]:
         """The lifted predicate at each delta form of forms, in order, where
         cols[i][x] is argument i's value at base element x."""
-        return self.kernel(self.lat, self.functor, forms, cols)
+        return self.kernel(self.lat, forms, cols)
 
     def value_at(self, delta, args: Sequence[Callable]) -> int:
-        return self.kernel(self.lat, self.functor, (delta,), [_Calls(a) for a in args])[0]
+        return self.kernel(self.lat, (delta,), [_Calls(a) for a in args])[0]
 
 
 # -- registry ---------------------------------------------------------------------

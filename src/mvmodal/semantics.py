@@ -206,9 +206,6 @@ class StageTower:
     built on first use and kept for the life of the tower.
     """
 
-    # encode() for table-valued functors walks Hom(stage, A); refuse beyond this
-    ENC_CAP = 1 << 16
-
     def __init__(self, session: Session):
         self.s = session
         self._sizes: list[int] = [session.valuations.size]
@@ -260,11 +257,11 @@ class StageTower:
         return self._decode_full[key]
 
     def _guard_encode(self, k: int) -> None:
+        """An encode into a table-valued T(stage k) walks Hom(stage k, A)."""
         if self.s.functor.table_valued:
-            h = self.s.lat.size ** self.size(k)
-            if h > self.ENC_CAP:
+            if self.s.lat.size ** self.size(k) > self.s.budget:
                 raise BudgetError(f"encoding into T(stage {k}) (function table domain)",
-                                  f"{self.s.lat.size}^{self.size(k)}", self.ENC_CAP)
+                                  f"{self.s.lat.size}^{self.size(k)}", self.s.budget)
 
     def encode_full(self, k: int, elem: tuple) -> int:
         key = (k, elem)

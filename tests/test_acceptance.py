@@ -247,7 +247,7 @@ def test_c09_naturality_of_all_shipped_liftings_plus_fault_injection():
         name="card", arity=1, functor=Powerset(builtin_lattice("boolean")),
         lat=builtin_lattice("boolean"),
         formula="card(f)(X) = |X| mod 2",
-        kernel=lambda lat, functor, forms, cols: [len(d) % 2 for d in forms],
+        kernel=lambda lat, forms, cols: [len(d) % 2 for d in forms],
     )
     report = check_naturality(broken, bound=2)
     assert not report.ok

@@ -110,11 +110,12 @@ def test_lemma2_model_serializes_for_powerset(boolean_ps1):
     assert data["states"] == 8
 
 
-def test_lemma2_model_neighborhood_evaluates_but_does_not_serialize():
-    s = make_session(functor="neighborhood", propositions=("p",))
+@pytest.mark.parametrize("functor,text", [("neighborhood", "box(p)"), ("selection", "cond(p, p)")])
+def test_lemma2_model_neighborhood_evaluates_but_does_not_serialize(functor, text):
+    s = make_session(functor=functor, propositions=("p",))
     m = lemma2_model(s, 1)
-    assert eval_model(s, m, s.parse("box(p)"))  # evaluates fine
-    with pytest.raises(InputError):
+    assert eval_model(s, m, s.parse(text))  # evaluates fine
+    with pytest.raises(InputError, match="indexed off the state set"):
         model_to_dict(s, m)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mvmodal import (BudgetError, Distribution, FuzzyHom, InputError, Neighborhood,
                      Powerset, Selection, ValuationSet, builtin_lattice,
                      check_functor_laws, make_functor, push_delta, standard_liftings)
-from mvmodal.functors import digits_of, undigits
+from mvmodal.functors import digits_of, lifted, undigits
 from conftest import make_session, random_model
 from oracles import enumerated_modal_vectors, generic_map_table
 
@@ -291,6 +291,62 @@ def test_modal_vectors_refuse_a_set_over_budget():
     assert len(F.modal_vectors(nodes, 2, 9, 1)) == 9
     with pytest.raises(BudgetError, match=r"modal vectors at level 4 has more than 8 elements"):
         F.modal_vectors(nodes, 2, 8, 4)
+
+
+# -- the chunked lifting scan -----------------------------------------------------------
+
+
+def _lifting_cases(rng):
+    """(F, m, nodes) over every enumerable T(m), m <= 3, of the five functors
+    (distribution with q = 1..3) on boolean and lukasiewicz:3, with 1-3
+    seeded nodes each, plus lukasiewicz:3 fuzzyhom at m = 7, whose 2187
+    forms run past the chunks of 1..512 (1023 forms) into a second 512."""
+    cases = []
+    for lat in (BOOL, L3):
+        for spec in PUSH_SPECS:
+            F = make_functor(spec, lat)
+            lifts = list(standard_liftings(lat, F).liftings.values())
+            cases += [(F, m, _seeded_nodes(lifts, m, rng, count))
+                      for m in range(4) if F.fits(m, 20000) is not None for count in (1, 2, 3)]
+    F = FuzzyHom(L3)
+    lifts = list(standard_liftings(L3, F).liftings.values())
+    return cases + [(F, 7, _seeded_nodes(lifts, 7, rng, count)) for count in (1, 3)]
+
+
+def test_lifted_matches_the_per_form_route():
+    rng = random.Random("lifted")
+    compared = 0
+    for F, m, nodes in _lifting_cases(rng):
+        want = [(d, tuple(lf.column((d,), cols)[0] for lf, cols in nodes))
+                for d in F.elements(m)]
+        assert list(lifted(nodes, F.elements(m))) == want, (F.name, F.lat.name, m)
+        compared += len(want)
+    assert compared > 5000
+
+
+def test_lifted_draws_forms_lazily():
+    """After j items the scan has drawn at most 2j forms while its chunks
+    double, and at most j + 512 once they are capped at 512."""
+
+    class Counting:
+        def __init__(self, forms):
+            self.forms, self.drawn = iter(forms), 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            form = next(self.forms)
+            self.drawn += 1
+            return form
+
+    F = FuzzyHom(L3)
+    box = standard_liftings(L3, F).get("box")
+    forms = Counting(F.elements(7))
+    j = 0
+    for j, _ in enumerate(lifted([(box, [(0, 1, 2, 0, 1, 2, 0)])], forms), start=1):
+        assert forms.drawn <= (2 * j if j <= 512 else j + 512), j
+    assert j == forms.drawn == F.size(7)
 
 
 # -- valuation sets -------------------------------------------------------------------

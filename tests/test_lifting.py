@@ -250,7 +250,7 @@ def test_fault_injected_lifting_fails_naturality():
     broken = PredicateLifting(
         name="card", arity=1, functor=F, lat=BOOL,
         formula="card(f)(X) = |X| mod 2",
-        kernel=lambda lat, functor, forms, cols: [len(d) % 2 for d in forms],
+        kernel=lambda lat, forms, cols: [len(d) % 2 for d in forms],
     )
     report = check_naturality(broken, bound=2)
     assert not report.ok

@@ -315,6 +315,18 @@ def test_sigma_k_refuses_negative_stage(boolean_ps1):
         sigma_k(boolean_ps1, m, -1)
 
 
+def test_sigma_k_encode_is_capped_by_the_session_budget():
+    """Encoding into neighborhood T(stage 0) walks Hom(stage 0, A), 7^7
+    functions on goedel:7 over {p}: the session budget refuses it and is
+    the cap the error names."""
+    s = make_session(algebra="goedel:7", functor="neighborhood", propositions=("p",),
+                     budget=10000)
+    m = random_model(s, 1, random.Random("encode budget"))
+    with pytest.raises(BudgetError, match=r"encoding into T\(stage 0\)") as err:
+        sigma_k(s, m, 1)
+    assert err.value.budget == 10000
+
+
 @pytest.mark.parametrize("functor", FUNCTORS)
 def test_truth_lemma_randomized(functor):
     rng = random.Random(hash(functor) % 10**6)
