@@ -47,24 +47,24 @@ def enumerated_modal_vectors(F, nodes, m):
 # -- predicate liftings, one delta form at a time ------------------------------------------
 
 
-def box_powerset(lat, F, delta, args):
+def box_powerset(lat, delta, args):
     return lat.meet_many(map(args[0], delta))
 
 
-def diamond_powerset(lat, F, delta, args):
+def diamond_powerset(lat, delta, args):
     return lat.join_many(map(args[0], delta))
 
 
-def box_fuzzyhom(lat, F, delta, args):
+def box_fuzzyhom(lat, delta, args):
     # meet over the whole base of delta(y) -> f(y); absent points give top
     return lat.meet_many(lat.impl[v][args[0](e)] for e, v in delta[1])
 
 
-def diamond_fuzzyhom(lat, F, delta, args):
+def diamond_fuzzyhom(lat, delta, args):
     return lat.join_many(lat.mono[v][args[0](e)] for e, v in delta[1])
 
 
-def box_neighborhood(lat, F, delta, args):
+def box_neighborhood(lat, delta, args):
     _, base, mapping = delta
     code = 0
     for e in mapping:
@@ -72,7 +72,7 @@ def box_neighborhood(lat, F, delta, args):
     return base[code]
 
 
-def cond_selection(lat, F, delta, args):
+def cond_selection(lat, delta, args):
     # s(f) included in g, inclusion graded by meet of pointwise residua; s(f)
     # is a row over the mapping's domain, joined over each fibre of the mapping
     _, table, m, mapping = delta
@@ -91,7 +91,7 @@ def distribution_pointwise(lat, threshold: Fraction) -> dict:
     up = [[a for a in range(lat.size) if lat.leq(a, b)] for b in range(lat.size)]
     tn, td = threshold.numerator, threshold.denominator
 
-    def prob(lat, F, delta, args):
+    def prob(lat, delta, args):
         # the largest value <= total/(D*q), scanning from bot
         _, pairs, q = delta
         f, total = args[0], 0
@@ -103,7 +103,7 @@ def distribution_pointwise(lat, threshold: Fraction) -> dict:
                 best = i
         return best
 
-    def over(lat, F, delta, args):
+    def over(lat, delta, args):
         # mass[alpha] / q is mu of the cut {x : alpha <= f(x)}
         _, pairs, q = delta
         f, mass = args[0], [0] * lat.size
@@ -120,7 +120,7 @@ def distribution_pointwise(lat, threshold: Fraction) -> dict:
 
 
 def pointwise_liftings(F, threshold: Fraction) -> dict:
-    """name -> fn(lat, functor, delta, args) for every standard lifting of F."""
+    """name -> fn(lat, delta, args) for every standard lifting of F."""
     if F.name == "distribution":
         return distribution_pointwise(F.lat, threshold)
     return {"powerset": {"box": box_powerset, "diamond": diamond_powerset},

@@ -2,13 +2,17 @@
 import contextlib
 import io
 import json
+import re
+import shlex
 import signal
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmodal import InputError, Powerset, Session, builtin_lattice, load_algebra, validity
+from mvmodal import InputError, Powerset, Session, builtin_lattice, cli, load_algebra, validity
 from mvmodal.cli import main
 
 MODEL = {
@@ -976,3 +980,185 @@ def test_fuzzed_files_and_sizes_exit_0_1_or_2(tmp_path_factory, case, as_json):
         except SystemExit as exc:  # argparse refuses a malformed size
             code = exc.code
     assert code in (0, 1, 2), (cfg, files, argv, err.getvalue()[-2000:])
+
+
+# -- the argv matcher against argparse -----------------------------------------------------
+
+def _parsed(argv):
+    """vars() of argparse's Namespace for argv, or None if argparse refuses it
+    (or prints help)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _assert_matched(argv):
+    matched = cli._match(argv)
+    assert matched is not None, argv
+    assert vars(matched) == _parsed(argv), argv
+
+
+def _leaves():
+    return [path for path, (_, subdest, _) in cli.GRAMMAR.items() if path and not subdest]
+
+
+@pytest.mark.parametrize("path", _leaves(), ids=" ".join)
+def test_matcher_takes_every_verb_with_every_option(path):
+    """A verb path of the grammar, with every top-level and own option given
+    once, is read without argparse; a grammar entry the matcher cannot read
+    fails here."""
+    def args(arguments):
+        out = []
+        for name, kw in arguments:
+            if name.startswith("-"):
+                out += [name] if kw.get("action") == "store_true" else [name, "1"]
+            else:
+                out += ["1", "2"] if kw.get("nargs") == "+" else ["1"]
+        return out
+
+    _assert_matched([*args(cli.GRAMMAR[()][2]), *path, *args(cli.GRAMMAR[path][2])])
+    options_first = sorted(cli.GRAMMAR[path][2], key=lambda arg: not arg[0].startswith("-"))
+    _assert_matched([*path, *args(options_first)])
+
+
+def test_grammar_uses_only_what_the_matcher_reads():
+    """Every argument keyword of the grammar is one the matcher reads, or only
+    help text, and a path with a subverb takes no positionals."""
+    for path, (_, subdest, arguments) in cli.GRAMMAR.items():
+        for name, kw in arguments:
+            assert set(kw) <= {"action", "nargs", "type", "default", "required",
+                               "metavar", "help"}, (path, name)
+            assert kw.get("action") in (None, "store_true"), (path, name)
+            assert kw.get("nargs") in (None, "+"), (path, name)
+            assert kw.get("type") in (None, int), (path, name)
+            assert not (subdest and not name.startswith("-")), (path, name)
+
+
+def _readme_argvs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.strip().splitlines()]
+
+
+def test_matcher_takes_the_golden_battery_and_the_readme_examples(tmp_path):
+    from test_cli_golden import CASES
+
+    readme = _readme_argvs()
+    shown = {tuple(argv[:2]) if argv[0] == "check" else (argv[0],) for argv in readme}
+    assert shown == set(_leaves())  # the README shows every verb
+    config = ["--config", str(tmp_path / "cfg.json"), "--json"]
+    for cfg, argv in CASES:
+        argv = [str(tmp_path / "x.json") if a.startswith("{") else a for a in argv]
+        _assert_matched([*config, *argv] if cfg else ["--json", *argv])
+    for argv in readme:
+        _assert_matched(argv)
+        _assert_matched([*config, *argv])
+
+
+# tokens that argparse reads by rules the matcher does not copy, or refuses
+EDGE_TOKENS = ["--", "-h", "--help", "--conf", "--config=x", "-1", "-p", "", "--x y",
+               "--bound=1", "-", "nope", "check"]
+# positionals and option values; the last three start with "-" but hold a space
+WORDS = ["p", "box(p)", "0", "1", "2", "x", "m.json", "p -> q", "3/4", "-> p", "-h x", "--conf=a b"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of some verb path: its positionals and a drawn subset of its
+    options, required ones included, in a drawn order, then up to three edits:
+    a token inserted, or put in place of another, from the edge tokens, the
+    words or any option string of the grammar, a token deleted, or a token
+    repeated."""
+    def groups(arguments):
+        out = []
+        for name, kw in arguments:
+            if name.startswith("-"):
+                if draw(st.integers(0, 4)) > 0 if kw.get("required") else draw(st.booleans()):
+                    flag = kw.get("action") == "store_true"
+                    out.append([name] if flag else [name, draw(st.sampled_from(WORDS))])
+            else:
+                count = draw(st.integers(1, 3)) if kw.get("nargs") == "+" else 1
+                out += [[draw(st.sampled_from(WORDS))] for _ in range(count)]
+        return [t for group in draw(st.permutations(out)) for t in group]
+
+    path = draw(st.sampled_from(_leaves()))
+    argv = [*groups(cli.GRAMMAR[()][2]), *path, *groups(cli.GRAMMAR[path][2])]
+    options = sorted({name for _, _, arguments in cli.GRAMMAR.values()
+                      for name, _ in arguments if name.startswith("-")})
+    tokens = st.sampled_from(EDGE_TOKENS) | st.sampled_from(WORDS + options)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "repeat"]))
+        at = draw(st.integers(0, len(argv)))
+        if edit == "insert":
+            argv.insert(at, draw(tokens))
+        elif at < len(argv):
+            token = argv.pop(at)
+            if edit == "replace":
+                argv.insert(at, draw(tokens))
+            elif edit == "repeat":
+                argv[at:at] = [token, token]
+    return argv
+
+
+def _main_output(argv):
+    """Exit code, stdout and stderr of main(argv), timings blanked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), re.sub(r"elapsed: [0-9.]+s", "elapsed", err.getvalue())
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_argvs())
+def test_matcher_declines_or_agrees_with_argparse(argv):
+    """The matcher returns argparse's Namespace or declines; where it declines,
+    main prints and exits exactly as argparse alone makes it."""
+    matched = cli._match(argv)
+    if matched is not None:
+        assert vars(matched) == _parsed(argv)
+        return
+    want = _main_output(argv)
+    with mock.patch.object(cli, "_match", lambda argv: None):
+        assert _main_output(argv) == want
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["mvmodal", "rank", "box(box(p))"])
+    assert main() == 0
+    assert capsys.readouterr().out == "2\n"
+
+
+# -- the --json writer against json.dumps ---------------------------------------------------
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                | st.text(alphabet=st.characters(), max_size=6)
+                | st.sampled_from(["", "\x00\x1f\x7f", "é \U0001f600", '"\\/']))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_JSON_TREES)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": [1, 0.5]}, {1: "a"}, {"a": {2: 3, "b": True}}, [float("nan")], {"s": {1, 2}},
+])
+def test_json_writer_hands_other_payloads_to_json_dumps(payload):
+    try:
+        want = json.dumps(payload, sort_keys=True, indent=2)
+    except TypeError:
+        with pytest.raises(TypeError):
+            cli._dumps(payload)
+    else:
+        assert cli._dumps(payload) == want

@@ -206,10 +206,10 @@ def _reshaped(F, before, after, n) -> bool:
     return after[-1] != tuple(range(n))
 
 
-def _differs(lat, F, forms, cols, lf, ref):
+def _differs(lat, forms, cols, lf, ref):
     """How many forms the kernel, and value_at, read differently from ref."""
     reads = [c.__getitem__ for c in cols]
-    want = [ref(lat, F, d, reads) for d in forms]
+    want = [ref(lat, d, reads) for d in forms]
     got = lf.column(forms, cols)
     one = [lf.value_at(d, reads) for d in forms]
     return sum(g != w for g, w in zip(got, want)) + sum(o != w for o, w in zip(one, want)) \
@@ -238,7 +238,7 @@ def test_column_kernels_match_the_pointwise_reference(F, threshold):
                 for _ in range(3):
                     cols = [tuple(rng.randrange(lat.size) for _ in range(n))
                             for _ in range(lf.arity)]
-                    assert _differs(lat, F, case, cols, lf, ref) == 0, (name, m, n, cols)
+                    assert _differs(lat, case, cols, lf, ref) == 0, (name, m, n, cols)
                     compared += len(case)
     assert compared > 100
     assert reshaped > 0 or getattr(F, "q", None) == 1  # one grid point never merges
